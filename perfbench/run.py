@@ -7,9 +7,9 @@ Run from the root of a checkout::
 ``--trace 0`` measures the end-to-end metrics with nothing recorded;
 ``--trace 1`` runs the same phases, then replays requests and training
 stage by stage and reports per-layer metrics instead.  Human-readable
-lines (environment, per-phase request counts, every metric with its
-unit) go to stdout; the last stdout line is one JSON object with
-``correct``, ``attempted``, ``failed`` and ``metrics``.
+lines (environment, host slowdown, per-phase request counts, every
+metric with its unit) go to stdout; the last stdout line is one JSON
+object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
 Everything the run writes stays under ``.bench_build/`` in the checkout:
 the native kernel's compile cache, the temporary registries and server
@@ -24,10 +24,10 @@ import json
 import os
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD_DIR = os.path.join(ROOT, ".bench_build")
@@ -109,6 +109,7 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, _stop_on_sigterm)
 
     import workloads
+    from hostspeed import HostSpeed
     from spans import Tracer
 
     if args.workload not in workloads.WORKLOADS:
@@ -121,10 +122,11 @@ def main(argv=None) -> int:
 
     run = workloads.run_serving if workload.serving else workloads.run_training
     tracer = Tracer()
+    host = HostSpeed()
     workdir = tempfile.mkdtemp(prefix="run-", dir=BUILD_DIR)
     try:
         out = run(workload, args.seed, args.seconds, bool(args.trace),
-                  ROOT, workdir, tracer)
+                  ROOT, workdir, tracer, host)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     out.layers["error_rate"] = out.failed / out.attempted
@@ -138,6 +140,10 @@ def main(argv=None) -> int:
 
     print(f"workload {workload.name} seed {args.seed} "
           + " ".join(f"{k}={v}" for k, v in sorted(out.notes.items())))
+    slowdowns = host.slowdowns
+    print(f"host slowdown over {len(slowdowns)} bursts: median "
+          f"{statistics.median(slowdowns):.3f}, range "
+          f"{min(slowdowns):.3f} to {max(slowdowns):.3f}")
     print(f"{'phase':<12} {'attempted':>9} {'succeeded':>9} {'failed':>6} "
           f"{'status0':>7} {'mismatch':>8}  statuses")
     for phase in out.phases:
@@ -153,6 +159,8 @@ def main(argv=None) -> int:
     values = out.layers if args.trace else out.metrics
     if not args.trace:
         print(f"{'error_rate':<34} {out.layers['error_rate']:>14.6g} ratio")
+        for name, value in sorted(out.raw.items()):
+            print(f"{name + ' (raw)':<34} {value:>14.6g} {units[name]}")
     missing = sorted(set(units) - set(values))
     if missing:
         raise RuntimeError(f"metrics not measured: {missing}")

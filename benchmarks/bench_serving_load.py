@@ -62,8 +62,9 @@ MIN_SPEEDUP = 3.0
 
 #: (dimension D, columns C, features f) of the served model.  At this
 #: geometry a single-row predict is dominated by per-call fixed cost
-#: (streaming the 4.5 MB float64 projection + packed AM, ~30 numpy
-#: dispatches), which is exactly what micro-batching amortizes.
+#: (one GEMV streaming the encoder's cached 3.1 MB float64 projection,
+#: the packed-AM scan, and the numpy dispatches of each stage), which is
+#: exactly what micro-batching amortizes.
 FULL_MODEL = (8192, 128, 48)
 SMOKE_MODEL = (256, 32, 16)
 

@@ -175,15 +175,17 @@ class MEMHDModel(HDCClassifier):
             path; ``"packed"`` uses the bit-packed popcount engine;
             ``"pruned"`` adds centroid-pruned shortlist search on top of
             the packed kernels.  All three produce bit-identical
-            predictions.
+            predictions.  The packed and pruned engines take their query
+            words straight from
+            :meth:`~repro.hdc.encoders.RandomProjectionEncoder.encode_packed`.
         """
         am = self._require_am()
-        encoded = self.encode_binary(np.asarray(features, dtype=np.float64))
-        if encoded.ndim == 1:
-            encoded = encoded[None, :]
-        return am.predict(
-            encoded, packed=_use_packed(engine), pruned=_use_pruned(engine)
-        )
+        x = np.asarray(features, dtype=np.float64)
+        if _use_packed(engine):
+            return am.packed().predict(self.encoder.encode_packed(x))
+        if _use_pruned(engine):
+            return am.pruned().predict(self.encoder.encode_packed(x))
+        return am.predict(np.atleast_2d(self.encode_binary(x)))
 
     def memory_report(self) -> MemoryReport:
         """Table I breakdown: ``f*D`` encoder bits plus ``C*D`` AM bits."""
@@ -234,23 +236,22 @@ class MEMHDModel(HDCClassifier):
         evaluates full per-class scores through the packed engine.
         """
         am = self._require_am()
-        encoded = self.encode_binary(np.asarray(features, dtype=np.float64))
-        if encoded.ndim == 1:
-            encoded = encoded[None, :]
-        packed = _use_packed(engine) or _use_pruned(engine)
-        return am.class_scores(encoded, packed=packed)
+        x = np.asarray(features, dtype=np.float64)
+        if _use_packed(engine) or _use_pruned(engine):
+            return am.packed().class_scores(self.encoder.encode_packed(x))
+        return am.class_scores(np.atleast_2d(self.encode_binary(x)))
 
     def prepare_engine(self, engine: str = "float") -> None:
         """Build engine state ahead of serving (pipeline warm-up hook).
 
         For the packed engine this packs the binary AM into ``uint64``
         words; for the pruned engine it additionally builds the per-class
-        centroid sketches.  The encoder's projection matrix is
-        materialized in every case so the first served chunk pays no
-        lazy-initialization cost.
+        centroid sketches.  The encoder's float64 widening of the
+        projection is built in every case, so the first served chunk pays
+        no lazy-initialization cost.
         """
         am = self._require_am()
-        _ = self.encoder.projection  # encoder state is eager; touch it anyway
+        self.encoder.widened_projection()
         if _use_packed(engine):
             am.packed()
         elif _use_pruned(engine):

@@ -23,7 +23,7 @@ classifiers and the evaluation harness can treat them interchangeably.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.hdc.hypervector import (
     random_gaussian_hypervectors,
     to_binary,
 )
+from repro.hdc.packed import PackedVectors, pack_binary
 
 
 class Encoder(abc.ABC):
@@ -72,7 +73,13 @@ class Encoder(abc.ABC):
     def __call__(self, features: np.ndarray) -> np.ndarray:
         return self.encode(features)
 
-    def _validate(self, features: np.ndarray) -> np.ndarray:
+    def _validate(self, features: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """Coerce features to a ``(n, f)`` float64 batch.
+
+        Returns the batch and whether the input was a single ``(f,)``
+        vector (so the caller squeezes its result).  The flag is returned,
+        never stored on the encoder: one encoder serves concurrent callers.
+        """
         arr = np.asarray(features, dtype=np.float64)
         squeeze = arr.ndim == 1
         if squeeze:
@@ -83,13 +90,7 @@ class Encoder(abc.ABC):
             raise ValueError(
                 f"expected {self.num_features} features, got {arr.shape[1]}"
             )
-        self._squeeze_output = squeeze
-        return arr
-
-    def _maybe_squeeze(self, encoded: np.ndarray) -> np.ndarray:
-        if getattr(self, "_squeeze_output", False):
-            return encoded[0]
-        return encoded
+        return arr, squeeze
 
 
 def check_encoder_shape(encoder: Encoder, num_features: int, dimension: int) -> Encoder:
@@ -212,14 +213,59 @@ class RandomProjectionEncoder(Encoder):
             self.projection = matrix.astype(np.float64)
         return self
 
+    @property
+    def projection(self) -> np.ndarray:
+        """The ``(f, D)`` projection matrix ``M``.
+
+        Bipolar ``int8`` (binary projection) or Gaussian float: the matrix
+        that is checkpointed and mapped into the IMC array.
+        """
+        return self._projection
+
+    @projection.setter
+    def projection(self, value: np.ndarray) -> None:
+        # Assignment drops the float64 widening; in-place writes into the
+        # matrix are not tracked (assign a new matrix instead).
+        self._projection = value
+        self._widened = None
+
+    def widened_projection(self) -> np.ndarray:
+        """The projection as float64, the operand of every encode GEMM.
+
+        Built on first use and cached until :attr:`projection` is assigned
+        (``f * D * 8`` bytes; never checkpointed).  The cache is keyed on
+        the matrix it was widened from, so a concurrent assignment can
+        never leave a stale widening behind.
+        """
+        projection = self._projection
+        cached = self._widened
+        if cached is None or cached[0] is not projection:
+            cached = (projection, projection.astype(np.float64, copy=False))
+            self._widened = cached
+        return cached[1]
+
     def encode(self, features: np.ndarray) -> np.ndarray:
-        arr = self._validate(features)
-        projected = arr @ self.projection.astype(np.float64)
+        arr, squeeze = self._validate(features)
+        projected = arr @ self.widened_projection()
         if self.quantize_output:
             encoded = bipolarize(projected)
         else:
             encoded = projected.astype(np.float32)
-        return self._maybe_squeeze(encoded)
+        return encoded[0] if squeeze else encoded
+
+    def encode_packed(self, features: np.ndarray) -> PackedVectors:
+        """Encode straight to bit-packed binary query words.
+
+        Packs ``M^T F >= 0`` -- the predicate :func:`bipolarize` applies
+        (ties go to bit 1, NaN to bit 0) -- so the result equals
+        ``pack_binary(to_binary(encode(features)))`` bit for bit without
+        materializing the bipolar or ``{0, 1}`` arrays.  A single ``(f,)``
+        vector becomes a one-row batch, as with :func:`pack_binary`.
+        """
+        if not self.quantize_output:
+            raise ValueError("encode_packed requires quantize_output=True")
+        arr, _ = self._validate(features)
+        return pack_binary(arr @ self.widened_projection() >= 0, validate=False)
 
     def encode_binary(self, features: np.ndarray) -> np.ndarray:
         """Encode and return the ``{0, 1}`` representation of the result."""
@@ -354,7 +400,7 @@ class IDLevelEncoder(Encoder):
         )
 
     def encode(self, features: np.ndarray) -> np.ndarray:
-        arr = self._validate(features)
+        arr, squeeze = self._validate(features)
         levels = self.quantize_values(arr)  # (n, f) integer level indices
         n = arr.shape[0]
         accumulated = np.zeros((n, self.dimension), dtype=np.int64)
@@ -370,7 +416,7 @@ class IDLevelEncoder(Encoder):
             encoded = bipolarize(accumulated)
         else:
             encoded = accumulated.astype(np.float32)
-        return self._maybe_squeeze(encoded)
+        return encoded[0] if squeeze else encoded
 
     def memory_bits(self) -> int:
         """Encoder storage: ``(f + L) * D`` single-bit cells (Table I)."""

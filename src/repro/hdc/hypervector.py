@@ -230,8 +230,7 @@ def bipolarize(values: ArrayLike, threshold: float = 0.0) -> np.ndarray:
 def to_bipolar(binary: ArrayLike) -> np.ndarray:
     """Map ``{0, 1}`` values to ``{-1, +1}`` via ``2 * x - 1``."""
     arr = np.asarray(binary)
-    unique = np.unique(arr)
-    if not np.all(np.isin(unique, (0, 1))):
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("to_bipolar expects values in {0, 1}")
     return (2 * arr.astype(np.int8) - 1).astype(np.int8)
 
@@ -239,8 +238,7 @@ def to_bipolar(binary: ArrayLike) -> np.ndarray:
 def to_binary(bipolar: ArrayLike) -> np.ndarray:
     """Map ``{-1, +1}`` values to ``{0, 1}`` via ``(x + 1) / 2``."""
     arr = np.asarray(bipolar)
-    unique = np.unique(arr)
-    if not np.all(np.isin(unique, (-1, 1))):
+    if not ((arr == -1) | (arr == 1)).all():
         raise ValueError("to_binary expects values in {-1, +1}")
     return ((arr.astype(np.int8) + 1) // 2).astype(np.int8)
 

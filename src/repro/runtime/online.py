@@ -196,11 +196,13 @@ class FeedbackBuffer:
 
 
 def _clone_model(model: MEMHDModel) -> MEMHDModel:
-    """Deep private copy of a fitted model (checkpoint round-trip).
+    """Private copy of a fitted model's memory (checkpoint round-trip).
 
     Arrays are materialized with ``np.array``, so the clone is safe to
     update in place even when the source is a read-only memory-mapped
-    checkpoint view.
+    checkpoint view.  The encoder is shared, not copied: online learning
+    never trains the projection, and one encoder object means one float64
+    widening of it for the live and shadow models together.
     """
     from repro.core.model import MEMHDModel
     from repro.io.checkpoint import _encoder_meta
@@ -208,13 +210,15 @@ def _clone_model(model: MEMHDModel) -> MEMHDModel:
     arrays = {
         name: np.array(value) for name, value in model.checkpoint_arrays().items()
     }
-    return MEMHDModel.from_checkpoint(
+    clone = MEMHDModel.from_checkpoint(
         model.num_features,
         model.num_classes,
         model.config,
         arrays,
         encoder_meta=_encoder_meta(model),
     )
+    clone.encoder = model.encoder
+    return clone
 
 
 class OnlineLearner:

@@ -1,5 +1,7 @@
 """Unit tests for repro.hdc.encoders."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,50 @@ class TestIDLevelEncoder:
         encoder = IDLevelEncoder(7, 32, num_levels=5, rng=1)
         assert encoder.id_vectors.shape == (7, 32)
         assert encoder.level_vectors.shape == (5, 32)
+
+
+class TestConcurrentEncode:
+    """One encoder serves concurrent callers (pipeline threads, the online
+    trainer beside request threads), so a call's single-vector squeeze
+    must not depend on what another call did in between."""
+
+    @pytest.mark.parametrize(
+        "make, hook",
+        [
+            (lambda: RandomProjectionEncoder(6, 40, rng=0), "widened_projection"),
+            (lambda: IDLevelEncoder(6, 40, num_levels=4, rng=0), "quantize_values"),
+        ],
+        ids=["projection", "id-level"],
+    )
+    def test_batch_encode_between_validate_and_squeeze(self, make, hook):
+        # Park a single-vector encode inside ``hook`` (after input
+        # validation, before the squeeze), run a whole batch encode on the
+        # same encoder, then let the single encode finish.
+        encoder = make()
+        original = getattr(encoder, hook)
+        parked = threading.Event()
+        release = threading.Event()
+
+        def gate(*args):
+            if threading.current_thread().name == "single":
+                parked.set()
+                release.wait(10.0)
+            return original(*args)
+
+        setattr(encoder, hook, gate)  # instance attribute shadows the method
+        results = {}
+        single = threading.Thread(
+            target=lambda: results.update(single=encoder.encode(np.full(6, 0.5))),
+            name="single",
+        )
+        single.start()
+        try:
+            assert parked.wait(10.0), "single encode never reached the hook"
+            results["batch"] = encoder.encode(np.full((3, 6), 0.5))
+        finally:
+            release.set()
+            single.join(10.0)
+        assert not single.is_alive()
+        assert results["batch"].shape == (3, 40)
+        assert results["single"].shape == (40,)
+        np.testing.assert_array_equal(results["single"], results["batch"][0])

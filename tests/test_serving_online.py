@@ -326,6 +326,47 @@ class TestPromotionGate:
         )
         learner.stop(drain=False)
 
+    def test_live_and_shadow_share_one_encoder(
+        self, registry, drift_dataset, base_model
+    ):
+        """The projection is never trained, so the live and shadow clones
+        hold one encoder (one float64 widening) across promotions, and
+        promotion and rollback stay bit-exact on every engine."""
+        learner = self._learner(
+            registry,
+            OnlineConfig(
+                min_feedback=16,
+                eval_fraction=0.25,
+                learning_rate=0.5,
+                promote_margin=-1.0,  # gate passes every round
+            ),
+        )
+        assert learner._live.encoder is learner._shadow.encoder
+        for _ in range(3):
+            learner.submit(
+                drift_dataset.train_features[:80],
+                _swap_labels(drift_dataset.train_labels[:80]),
+            )
+            learner.step(force=True)
+        assert learner.stats()["promotions"]["count"] >= 1
+        assert learner._live.encoder is learner._shadow.encoder
+        features = drift_dataset.test_features
+        promoted = registry.load(learner.current_spec)
+        rolled_back = registry.load("tiny5:v1")
+        np.testing.assert_array_equal(
+            promoted.encoder.projection, base_model.encoder.projection
+        )
+        for engine in ("float", "packed", "pruned"):
+            np.testing.assert_array_equal(
+                learner._live.predict(features, engine=engine),
+                promoted.predict(features, engine=engine),
+            )
+            np.testing.assert_array_equal(
+                rolled_back.predict(features, engine=engine),
+                base_model.predict(features, engine=engine),
+            )
+        learner.stop(drain=False)
+
 
 # ----------------------------------------------------------- the HTTP contract
 class TestFeedbackEndpoint:

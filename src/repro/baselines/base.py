@@ -25,7 +25,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.eval.metrics import accuracy
+from repro.hdc.encoders import RandomProjectionEncoder
+from repro.hdc.engine import BinaryAMEngine, check_engine
 from repro.hdc.memory_model import MemoryReport
+from repro.hdc.packed import PackedAM, pack_bipolar
 
 
 @dataclass
@@ -174,3 +177,86 @@ class HDCClassifier(abc.ABC):
         if np.any(y < 0):
             raise ValueError("labels must be non-negative integers")
         return x, y
+
+
+class BinaryAMClassifier(HDCClassifier):
+    """A classifier whose inference is one search over a 1-bit AM.
+
+    The packed and pruned engines live in one :class:`BinaryAMEngine`,
+    :attr:`engine`; this class gives every such model the same serving
+    hooks over it.
+    """
+
+    #: Packed mirror and pruned index of the model's binary AM.
+    engine: BinaryAMEngine
+
+    def prepare_engine(self, engine: str = "float") -> None:
+        """Build engine state ahead of serving (pipeline warm-up hook).
+
+        For the packed engine this packs the binary AM into ``uint64``
+        words; for the pruned engine it additionally builds the per-class
+        centroid sketches.  A projection encoder's float64 widening is
+        built in every case, so the first served chunk pays no
+        lazy-initialization cost.
+        """
+        self.engine.prepare(engine)
+        if isinstance(self.encoder, RandomProjectionEncoder):
+            self.encoder.widened_projection()
+
+    def configure_pruning(self, prune_topk: Optional[int]) -> None:
+        """Set the pruned engine's shortlist width (None = heuristic)."""
+        self.engine.configure_pruning(prune_topk)
+
+    def prune_stats(self) -> Optional[Dict[str, float]]:
+        """Prune counters of the pruned engine (None before it is built)."""
+        return self.engine.stats()
+
+
+class BipolarAMClassifier(BinaryAMClassifier):
+    """A baseline that searches a bipolar ``{-1, +1}`` class-vector AM.
+
+    The AM is ``(k, D)``, or ``(k, N, D)`` with ``N`` vectors per class
+    (SearcHD).  It changes only through the :attr:`_am` setter, which
+    invalidates :attr:`engine`.  Subclasses build the engine over
+    :meth:`_pack_am` and keep their float search in ``_predict_encoded``.
+    """
+
+    @property
+    def _am(self) -> Optional[np.ndarray]:
+        """The class-vector memory every engine searches (None before fit)."""
+        return self._am_array
+
+    @_am.setter
+    def _am(self, value: Optional[np.ndarray]) -> None:
+        self._am_array = value
+        self.engine.invalidate()
+
+    @property
+    def associative_memory(self) -> np.ndarray:
+        """The class-vector memory used for prediction."""
+        if self._am is None:
+            raise RuntimeError("model has not been fitted")
+        return self._am
+
+    def predict(self, features: np.ndarray, engine: str = "float") -> np.ndarray:
+        """Classify raw features (``packed``/``pruned`` use popcount search)."""
+        if self._am is None:
+            raise RuntimeError(f"{type(self).__name__}.predict called before fit")
+        encoded = self.encoder.encode(np.asarray(features, dtype=np.float64))
+        encoded = np.atleast_2d(encoded)
+        if check_engine(engine) == "float":
+            return self._predict_encoded(encoded.astype(np.float64))
+        return self.engine.predict(pack_bipolar(encoded), engine)
+
+    def _pack_am(self) -> PackedAM:
+        """The AM as flat ``(k * N, D)`` packed rows, ``N`` per class."""
+        if self._am is None:
+            raise RuntimeError("model has not been fitted")
+        rows = self._am.reshape(-1, self._am.shape[-1])
+        per_class = rows.shape[0] // self.num_classes
+        classes = np.repeat(np.arange(self.num_classes), per_class)
+        return PackedAM.from_bipolar_memory(rows, classes, self.num_classes)
+
+    @abc.abstractmethod
+    def _predict_encoded(self, encoded: np.ndarray) -> np.ndarray:
+        """Float-path labels of encoded query rows."""

@@ -20,12 +20,12 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.baselines.base import HDCClassifier, TrainingHistory
+from repro.baselines.base import BipolarAMClassifier, TrainingHistory
 from repro.hdc.encoders import RandomProjectionEncoder, check_encoder_shape
+from repro.hdc.engine import BinaryAMEngine
 from repro.hdc.hypervector import _as_generator, bipolarize
 from repro.hdc.memory_model import MemoryReport, model_memory_report
-from repro.hdc.packed import PackedAM, PackedVectors, pack_bipolar, packed_dot_similarity
-from repro.hdc.pruned import PrunedAM
+from repro.hdc.packed import PackedAM
 from repro.hdc.similarity import dot_similarity
 from repro.eval.metrics import accuracy
 
@@ -66,7 +66,7 @@ class BasicHDCConfig:
             raise ValueError("learning_rate must be positive")
 
 
-class BasicHDC(HDCClassifier):
+class BasicHDC(BipolarAMClassifier):
     """Projection-encoded, single-pass binary HDC classifier."""
 
     name = "BasicHDC"
@@ -100,11 +100,8 @@ class BasicHDC(HDCClassifier):
                 rng=self._rng,
             )
         self._fp_am: Optional[np.ndarray] = None
-        self._am: Optional[np.ndarray] = None
-        self._packed_am: Optional[PackedVectors] = None
-        self._pruned_am: Optional[PrunedAM] = None
-        #: Shortlist width of the pruned engine (None = heuristic default).
-        self.prune_topk: Optional[int] = None
+        self.engine = BinaryAMEngine(self._pack_am)
+        self._am = None
 
     # ------------------------------------------------------------------ API
     def fit(
@@ -138,15 +135,6 @@ class BasicHDC(HDCClassifier):
         if not history.train_accuracy:
             history.train_accuracy.append(history.initial_accuracy)
         return history
-
-    def predict(self, features: np.ndarray, engine: str = "float") -> np.ndarray:
-        """Classify raw features (``engine="packed"`` uses popcount search)."""
-        if self._am is None:
-            raise RuntimeError("BasicHDC.predict called before fit")
-        encoded = self.encoder.encode(np.asarray(features, dtype=np.float64))
-        if encoded.ndim == 1:
-            encoded = encoded[None, :]
-        return self._predict_encoded(encoded.astype(np.float64), engine=engine)
 
     def memory_report(self) -> MemoryReport:
         return model_memory_report(
@@ -186,83 +174,26 @@ class BasicHDC(HDCClassifier):
         model = cls(num_features, num_classes, config, rng=config.seed, encoder=encoder)
         model._fp_am = np.asarray(arrays["fp_am"], dtype=np.float64)
         model._am = np.asarray(arrays["am"], dtype=np.float64)
-        model._packed_am = None
-        model._pruned_am = None
         return model
 
     # ------------------------------------------------------------ internals
-    @property
-    def associative_memory(self) -> np.ndarray:
-        """The class-vector matrix used for prediction (``(k, D)``)."""
-        if self._am is None:
-            raise RuntimeError("model has not been fitted")
-        return self._am
-
     def _refresh_am(self) -> None:
         assert self._fp_am is not None
         if self.config.binary_am:
             self._am = bipolarize(self._fp_am).astype(np.float64)
         else:
             self._am = self._fp_am.copy()
-        self._packed_am = None
-        self._pruned_am = None
 
-    def prepare_engine(self, engine: str = "float") -> None:
-        """Pipeline warm-up hook: pre-pack the AM for the packed engine."""
-        if engine == "packed":
-            self._packed()
-        elif engine == "pruned":
-            self._pruned()
-
-    def configure_pruning(self, prune_topk: Optional[int]) -> None:
-        """Set the pruned engine's shortlist width (None = heuristic)."""
-        self.prune_topk = prune_topk
-        if self._pruned_am is not None:
-            self._pruned_am.prune_topk = prune_topk
-
-    def prune_stats(self) -> Optional[Dict[str, float]]:
-        """Prune counters of the pruned engine (None before it is built)."""
-        if self._pruned_am is None:
-            return None
-        return self._pruned_am.stats()
-
-    def _pruned(self) -> PrunedAM:
-        """Centroid-pruned search index (one row per class), cached."""
-        if self._pruned_am is None:
-            packed_am = PackedAM(
-                self._packed(), np.arange(self.num_classes), self.num_classes
-            )
-            self._pruned_am = PrunedAM(packed_am, prune_topk=self.prune_topk)
-        return self._pruned_am
-
-    def _packed(self) -> PackedVectors:
-        """Bit-packed (bipolar) AM, built lazily and cached per refresh."""
+    def _pack_am(self) -> PackedAM:
         if not self.config.binary_am:
             raise ValueError(
                 "the packed engine requires binary_am=True (1-bit class "
                 "vectors); this model keeps floating-point class vectors"
             )
-        if self._am is None:
-            raise RuntimeError("model has not been fitted")
-        if self._packed_am is None:
-            self._packed_am = pack_bipolar(self._am)
-        return self._packed_am
+        return super()._pack_am()
 
-    def _predict_encoded(
-        self, encoded: np.ndarray, engine: str = "float"
-    ) -> np.ndarray:
-        if engine == "pruned":
-            # One row per class: the winning row index IS the class label.
-            return self._pruned().predict_columns(pack_bipolar(encoded))
-        if engine == "packed":
-            scores = packed_dot_similarity(pack_bipolar(encoded), self._packed())
-        elif engine == "float":
-            scores = dot_similarity(encoded, self._am)
-        else:
-            raise ValueError(
-                f"engine must be 'float', 'packed' or 'pruned', got {engine!r}"
-            )
-        return np.argmax(np.atleast_2d(scores), axis=1)
+    def _predict_encoded(self, encoded: np.ndarray) -> np.ndarray:
+        return np.argmax(np.atleast_2d(dot_similarity(encoded, self._am)), axis=1)
 
     def _refine_epoch(self, encoded: np.ndarray, labels: np.ndarray) -> int:
         """One classical iterative-learning epoch (Eq. 2) on the FP memory."""

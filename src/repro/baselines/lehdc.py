@@ -25,12 +25,11 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.baselines.base import HDCClassifier, TrainingHistory
+from repro.baselines.base import BipolarAMClassifier, TrainingHistory
 from repro.hdc.encoders import IDLevelEncoder, check_encoder_shape
+from repro.hdc.engine import BinaryAMEngine
 from repro.hdc.hypervector import _as_generator, bipolarize
 from repro.hdc.memory_model import MemoryReport, model_memory_report
-from repro.hdc.packed import PackedAM, PackedVectors, pack_bipolar, packed_dot_similarity
-from repro.hdc.pruned import PrunedAM
 from repro.eval.metrics import accuracy
 
 
@@ -92,7 +91,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-class LeHDC(HDCClassifier):
+class LeHDC(BipolarAMClassifier):
     """BNN-style trained binary HDC classifier."""
 
     name = "LeHDC"
@@ -126,11 +125,8 @@ class LeHDC(HDCClassifier):
                 rng=self._rng,
             )
         self._latent: Optional[np.ndarray] = None
-        self._binary_am: Optional[np.ndarray] = None
-        self._packed_am: Optional[PackedVectors] = None
-        self._pruned_am: Optional[PrunedAM] = None
-        #: Shortlist width of the pruned engine (None = heuristic default).
-        self.prune_topk: Optional[int] = None
+        self.engine = BinaryAMEngine(self._pack_am)
+        self._am = None
 
     # ------------------------------------------------------------------ API
     def fit(
@@ -148,9 +144,7 @@ class LeHDC(HDCClassifier):
         dim = self.config.dimension
         scale = 1.0 / np.sqrt(dim)
         self._latent = self._rng.normal(0.0, 0.1, size=(self.num_classes, dim))
-        self._binary_am = bipolarize(self._latent).astype(np.float64)
-        self._packed_am = None
-        self._pruned_am = None
+        self._am = bipolarize(self._latent).astype(np.float64)
         history.initial_accuracy = accuracy(self._predict_encoded(encoded), y)
 
         velocity = np.zeros_like(self._latent)
@@ -179,9 +173,7 @@ class LeHDC(HDCClassifier):
                     self.config.weight_clip,
                 )
                 updates += batch.size
-            self._binary_am = bipolarize(self._latent).astype(np.float64)
-            self._packed_am = None
-            self._pruned_am = None
+            self._am = bipolarize(self._latent).astype(np.float64)
             history.updates.append(updates)
             history.train_accuracy.append(
                 accuracy(self._predict_encoded(encoded), y)
@@ -193,15 +185,6 @@ class LeHDC(HDCClassifier):
         if not history.train_accuracy:
             history.train_accuracy.append(history.initial_accuracy)
         return history
-
-    def predict(self, features: np.ndarray, engine: str = "float") -> np.ndarray:
-        """Classify raw features (``engine="packed"`` uses popcount search)."""
-        if self._binary_am is None:
-            raise RuntimeError("LeHDC.predict called before fit")
-        encoded = self.encoder.encode(np.asarray(features, dtype=np.float64))
-        if encoded.ndim == 1:
-            encoded = encoded[None, :]
-        return self._predict_encoded(encoded.astype(np.float64), engine=engine)
 
     def memory_report(self) -> MemoryReport:
         return model_memory_report(
@@ -215,13 +198,13 @@ class LeHDC(HDCClassifier):
     # ---------------------------------------------------------- persistence
     def checkpoint_arrays(self) -> Dict[str, np.ndarray]:
         """Arrays that fully describe this fitted model for checkpointing."""
-        if self._latent is None or self._binary_am is None:
+        if self._latent is None or self._am is None:
             raise RuntimeError("model has not been fitted")
         return {
             "encoder_id_vectors": self.encoder.id_vectors,
             "encoder_level_vectors": self.encoder.level_vectors,
             "latent": self._latent,
-            "binary_am": self._binary_am,
+            "binary_am": self._am,
         }
 
     @classmethod
@@ -243,67 +226,9 @@ class LeHDC(HDCClassifier):
         )
         model = cls(num_features, num_classes, config, rng=config.seed, encoder=encoder)
         model._latent = np.asarray(arrays["latent"], dtype=np.float64)
-        model._binary_am = np.asarray(arrays["binary_am"], dtype=np.float64)
-        model._packed_am = None
-        model._pruned_am = None
+        model._am = np.asarray(arrays["binary_am"], dtype=np.float64)
         return model
 
     # ------------------------------------------------------------ internals
-    @property
-    def associative_memory(self) -> np.ndarray:
-        """Binary (bipolar) class-vector matrix used at inference time."""
-        if self._binary_am is None:
-            raise RuntimeError("model has not been fitted")
-        return self._binary_am
-
-    def prepare_engine(self, engine: str = "float") -> None:
-        """Pipeline warm-up hook: pre-pack the AM for the packed engine."""
-        if engine == "packed":
-            self._packed()
-        elif engine == "pruned":
-            self._pruned()
-
-    def configure_pruning(self, prune_topk: Optional[int]) -> None:
-        """Set the pruned engine's shortlist width (None = heuristic)."""
-        self.prune_topk = prune_topk
-        if self._pruned_am is not None:
-            self._pruned_am.prune_topk = prune_topk
-
-    def prune_stats(self) -> Optional[Dict[str, float]]:
-        """Prune counters of the pruned engine (None before it is built)."""
-        if self._pruned_am is None:
-            return None
-        return self._pruned_am.stats()
-
-    def _pruned(self) -> PrunedAM:
-        """Centroid-pruned search index (one row per class), cached."""
-        if self._pruned_am is None:
-            packed_am = PackedAM(
-                self._packed(), np.arange(self.num_classes), self.num_classes
-            )
-            self._pruned_am = PrunedAM(packed_am, prune_topk=self.prune_topk)
-        return self._pruned_am
-
-    def _packed(self) -> PackedVectors:
-        """Bit-packed (bipolar) AM, rebuilt whenever the binary AM moves."""
-        if self._binary_am is None:
-            raise RuntimeError("model has not been fitted")
-        if self._packed_am is None:
-            self._packed_am = pack_bipolar(self._binary_am)
-        return self._packed_am
-
-    def _predict_encoded(
-        self, encoded: np.ndarray, engine: str = "float"
-    ) -> np.ndarray:
-        if engine == "pruned":
-            # One row per class: the winning row index IS the class label.
-            return self._pruned().predict_columns(pack_bipolar(encoded))
-        if engine == "packed":
-            logits = packed_dot_similarity(pack_bipolar(encoded), self._packed())
-        elif engine == "float":
-            logits = encoded @ self._binary_am.T
-        else:
-            raise ValueError(
-                f"engine must be 'float', 'packed' or 'pruned', got {engine!r}"
-            )
-        return np.argmax(np.atleast_2d(logits), axis=1)
+    def _predict_encoded(self, encoded: np.ndarray) -> np.ndarray:
+        return np.argmax(np.atleast_2d(encoded @ self._am.T), axis=1)

@@ -29,6 +29,7 @@ import numpy as np
 from repro.baselines.base import HDCClassifier, TrainingHistory
 from repro.eval.metrics import accuracy
 from repro.hdc.encoders import RandomProjectionEncoder, check_encoder_shape
+from repro.hdc.engine import check_engine
 from repro.hdc.hypervector import _as_generator
 from repro.hdc.memory_model import MemoryReport, projection_encoder_bits
 
@@ -180,15 +181,11 @@ class OnlineHD(HDCClassifier):
 
     @staticmethod
     def _check_engine(engine: str) -> None:
-        if engine in ("packed", "pruned"):
+        if check_engine(engine) != "float":
             raise ValueError(
                 "OnlineHD keeps a floating-point associative memory; the "
                 f"{engine} engine (1-bit popcount search) is unavailable "
                 "for this model"
-            )
-        if engine != "float":
-            raise ValueError(
-                f"engine must be 'float', 'packed' or 'pruned', got {engine!r}"
             )
 
     def memory_report(self) -> MemoryReport:

@@ -18,12 +18,11 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.baselines.base import HDCClassifier, TrainingHistory
+from repro.baselines.base import BipolarAMClassifier, TrainingHistory
 from repro.hdc.encoders import IDLevelEncoder, check_encoder_shape
+from repro.hdc.engine import BinaryAMEngine
 from repro.hdc.hypervector import _as_generator, bipolarize
 from repro.hdc.memory_model import MemoryReport, model_memory_report
-from repro.hdc.packed import PackedAM, PackedVectors, pack_bipolar, packed_dot_similarity
-from repro.hdc.pruned import PrunedAM
 from repro.hdc.similarity import dot_similarity
 from repro.eval.metrics import accuracy
 
@@ -63,7 +62,7 @@ class QuantHDConfig:
             raise ValueError("learning_rate must be positive")
 
 
-class QuantHD(HDCClassifier):
+class QuantHD(BipolarAMClassifier):
     """ID-Level encoded HDC with quantization-aware iterative learning."""
 
     name = "QuantHD"
@@ -97,11 +96,8 @@ class QuantHD(HDCClassifier):
                 rng=self._rng,
             )
         self._fp_am: Optional[np.ndarray] = None
-        self._binary_am: Optional[np.ndarray] = None
-        self._packed_am: Optional[PackedVectors] = None
-        self._pruned_am: Optional[PrunedAM] = None
-        #: Shortlist width of the pruned engine (None = heuristic default).
-        self.prune_topk: Optional[int] = None
+        self.engine = BinaryAMEngine(self._pack_am)
+        self._am = None
 
     # ------------------------------------------------------------------ API
     def fit(
@@ -118,9 +114,7 @@ class QuantHD(HDCClassifier):
         fp_am = np.zeros((self.num_classes, self.config.dimension), dtype=np.float64)
         np.add.at(fp_am, y, encoded)
         self._fp_am = fp_am
-        self._binary_am = bipolarize(fp_am).astype(np.float64)
-        self._packed_am = None
-        self._pruned_am = None
+        self._am = bipolarize(fp_am).astype(np.float64)
         history.initial_accuracy = accuracy(self._predict_encoded(encoded), y)
 
         alpha = self.config.learning_rate
@@ -132,9 +126,7 @@ class QuantHD(HDCClassifier):
             if wrong.size:
                 np.add.at(self._fp_am, y[wrong], alpha * encoded[wrong])
                 np.add.at(self._fp_am, predictions[wrong], -alpha * encoded[wrong])
-            self._binary_am = bipolarize(self._fp_am).astype(np.float64)
-            self._packed_am = None
-            self._pruned_am = None
+            self._am = bipolarize(self._fp_am).astype(np.float64)
             history.updates.append(int(wrong.size))
             history.train_accuracy.append(
                 accuracy(self._predict_encoded(encoded), y)
@@ -146,15 +138,6 @@ class QuantHD(HDCClassifier):
         if not history.train_accuracy:
             history.train_accuracy.append(history.initial_accuracy)
         return history
-
-    def predict(self, features: np.ndarray, engine: str = "float") -> np.ndarray:
-        """Classify raw features (``engine="packed"`` uses popcount search)."""
-        if self._binary_am is None:
-            raise RuntimeError("QuantHD.predict called before fit")
-        encoded = self.encoder.encode(np.asarray(features, dtype=np.float64))
-        if encoded.ndim == 1:
-            encoded = encoded[None, :]
-        return self._predict_encoded(encoded.astype(np.float64), engine=engine)
 
     def memory_report(self) -> MemoryReport:
         return model_memory_report(
@@ -168,13 +151,13 @@ class QuantHD(HDCClassifier):
     # ---------------------------------------------------------- persistence
     def checkpoint_arrays(self) -> Dict[str, np.ndarray]:
         """Arrays that fully describe this fitted model for checkpointing."""
-        if self._fp_am is None or self._binary_am is None:
+        if self._fp_am is None or self._am is None:
             raise RuntimeError("model has not been fitted")
         return {
             "encoder_id_vectors": self.encoder.id_vectors,
             "encoder_level_vectors": self.encoder.level_vectors,
             "fp_am": self._fp_am,
-            "binary_am": self._binary_am,
+            "binary_am": self._am,
         }
 
     @classmethod
@@ -196,67 +179,9 @@ class QuantHD(HDCClassifier):
         )
         model = cls(num_features, num_classes, config, rng=config.seed, encoder=encoder)
         model._fp_am = np.asarray(arrays["fp_am"], dtype=np.float64)
-        model._binary_am = np.asarray(arrays["binary_am"], dtype=np.float64)
-        model._packed_am = None
-        model._pruned_am = None
+        model._am = np.asarray(arrays["binary_am"], dtype=np.float64)
         return model
 
     # ------------------------------------------------------------ internals
-    @property
-    def associative_memory(self) -> np.ndarray:
-        """The binary (bipolar) class-vector matrix used for prediction."""
-        if self._binary_am is None:
-            raise RuntimeError("model has not been fitted")
-        return self._binary_am
-
-    def prepare_engine(self, engine: str = "float") -> None:
-        """Pipeline warm-up hook: pre-pack the AM for the packed engine."""
-        if engine == "packed":
-            self._packed()
-        elif engine == "pruned":
-            self._pruned()
-
-    def configure_pruning(self, prune_topk: Optional[int]) -> None:
-        """Set the pruned engine's shortlist width (None = heuristic)."""
-        self.prune_topk = prune_topk
-        if self._pruned_am is not None:
-            self._pruned_am.prune_topk = prune_topk
-
-    def prune_stats(self) -> Optional[Dict[str, float]]:
-        """Prune counters of the pruned engine (None before it is built)."""
-        if self._pruned_am is None:
-            return None
-        return self._pruned_am.stats()
-
-    def _pruned(self) -> PrunedAM:
-        """Centroid-pruned search index (one row per class), cached."""
-        if self._pruned_am is None:
-            packed_am = PackedAM(
-                self._packed(), np.arange(self.num_classes), self.num_classes
-            )
-            self._pruned_am = PrunedAM(packed_am, prune_topk=self.prune_topk)
-        return self._pruned_am
-
-    def _packed(self) -> PackedVectors:
-        """Bit-packed (bipolar) AM, rebuilt whenever the binary AM moves."""
-        if self._binary_am is None:
-            raise RuntimeError("model has not been fitted")
-        if self._packed_am is None:
-            self._packed_am = pack_bipolar(self._binary_am)
-        return self._packed_am
-
-    def _predict_encoded(
-        self, encoded: np.ndarray, engine: str = "float"
-    ) -> np.ndarray:
-        if engine == "pruned":
-            # One row per class: the winning row index IS the class label.
-            return self._pruned().predict_columns(pack_bipolar(encoded))
-        if engine == "packed":
-            scores = packed_dot_similarity(pack_bipolar(encoded), self._packed())
-        elif engine == "float":
-            scores = dot_similarity(encoded, self._binary_am)
-        else:
-            raise ValueError(
-                f"engine must be 'float', 'packed' or 'pruned', got {engine!r}"
-            )
-        return np.argmax(np.atleast_2d(scores), axis=1)
+    def _predict_encoded(self, encoded: np.ndarray) -> np.ndarray:
+        return np.argmax(np.atleast_2d(dot_similarity(encoded, self._am)), axis=1)

@@ -21,12 +21,11 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.baselines.base import HDCClassifier, TrainingHistory
+from repro.baselines.base import BipolarAMClassifier, TrainingHistory
 from repro.hdc.encoders import IDLevelEncoder, check_encoder_shape
+from repro.hdc.engine import BinaryAMEngine
 from repro.hdc.hypervector import _as_generator, random_bipolar_hypervectors
 from repro.hdc.memory_model import MemoryReport, model_memory_report
-from repro.hdc.packed import PackedAM, PackedVectors, pack_bipolar, packed_dot_similarity
-from repro.hdc.pruned import PrunedAM
 from repro.hdc.similarity import dot_similarity
 from repro.eval.metrics import accuracy
 
@@ -76,7 +75,7 @@ class SearcHDConfig:
             raise ValueError("epochs must be >= 1")
 
 
-class SearcHD(HDCClassifier):
+class SearcHD(BipolarAMClassifier):
     """Multi-model binary HDC with stochastic bit-flip training."""
 
     name = "SearcHD"
@@ -109,12 +108,10 @@ class SearcHD(HDCClassifier):
                 num_levels=self.config.num_levels,
                 rng=self._rng,
             )
-        # (k, N, D) bipolar class-vector tensor.
-        self._am: Optional[np.ndarray] = None
-        self._packed_am: Optional[PackedVectors] = None
-        self._pruned_am: Optional[PrunedAM] = None
-        #: Shortlist width of the pruned engine (None = heuristic default).
-        self.prune_topk: Optional[int] = None
+        # (k, N, D) bipolar class-vector tensor; the engine searches it as
+        # flat (k * N, D) rows, N per class.
+        self.engine = BinaryAMEngine(self._pack_am)
+        self._am = None
 
     # ------------------------------------------------------------------ API
     def fit(
@@ -131,11 +128,9 @@ class SearcHD(HDCClassifier):
         # SearcHD seeds each class's N binary vectors from encoded training
         # samples of that class (falling back to random hypervectors for
         # classes with no data), then refines them by stochastic bit flips.
-        self._am = random_bipolar_hypervectors(k * n_models, dim, self._rng).reshape(
+        am = random_bipolar_hypervectors(k * n_models, dim, self._rng).reshape(
             k, n_models, dim
         )
-        self._packed_am = None
-        self._pruned_am = None
         for class_label in range(k):
             members = np.flatnonzero(y == class_label)
             if members.size == 0:
@@ -143,7 +138,8 @@ class SearcHD(HDCClassifier):
             chosen = self._rng.choice(
                 members, size=n_models, replace=members.size < n_models
             )
-            self._am[class_label] = encoded[chosen]
+            am[class_label] = encoded[chosen]
+        self._am = am
         history.initial_accuracy = accuracy(self._predict_encoded(encoded), y)
 
         for _ in range(self.config.epochs):
@@ -156,15 +152,6 @@ class SearcHD(HDCClassifier):
                 val_x, val_y = validation
                 history.validation_accuracy.append(self.score(val_x, val_y))
         return history
-
-    def predict(self, features: np.ndarray, engine: str = "float") -> np.ndarray:
-        """Classify raw features (``engine="packed"`` uses popcount search)."""
-        if self._am is None:
-            raise RuntimeError("SearcHD.predict called before fit")
-        encoded = self.encoder.encode(np.asarray(features, dtype=np.float64))
-        if encoded.ndim == 1:
-            encoded = encoded[None, :]
-        return self._predict_encoded(encoded.astype(np.int8), engine=engine)
 
     def memory_report(self) -> MemoryReport:
         return model_memory_report(
@@ -209,77 +196,14 @@ class SearcHD(HDCClassifier):
         if am.ndim != 3:
             raise ValueError("SearcHD checkpoint AM must be a (k, N, D) tensor")
         model._am = am
-        model._packed_am = None
-        model._pruned_am = None
         return model
 
     # ------------------------------------------------------------ internals
-    @property
-    def associative_memory(self) -> np.ndarray:
-        """``(k, N, D)`` bipolar class-vector tensor."""
-        if self._am is None:
-            raise RuntimeError("model has not been fitted")
-        return self._am
-
-    def prepare_engine(self, engine: str = "float") -> None:
-        """Pipeline warm-up hook: pre-pack the AM for the packed engine."""
-        if engine == "packed":
-            self._packed()
-        elif engine == "pruned":
-            self._pruned()
-
-    def configure_pruning(self, prune_topk: Optional[int]) -> None:
-        """Set the pruned engine's shortlist width (None = heuristic)."""
-        self.prune_topk = prune_topk
-        if self._pruned_am is not None:
-            self._pruned_am.prune_topk = prune_topk
-
-    def prune_stats(self) -> Optional[Dict[str, float]]:
-        """Prune counters of the pruned engine (None before it is built)."""
-        if self._pruned_am is None:
-            return None
-        return self._pruned_am.stats()
-
-    def _pruned(self) -> PrunedAM:
-        """Centroid-pruned index over the flat ``(k * N, D)`` AM, cached.
-
-        Each class owns ``N`` consecutive rows of the flat AM, so the
-        column-to-class map is ``repeat(arange(k), N)`` -- the packed-AM
-        equivalent of the full scan's ``best // N`` class recovery.
-        """
-        if self._pruned_am is None:
-            k, n_models, _ = self._am.shape
-            packed_am = PackedAM(
-                self._packed(), np.repeat(np.arange(k), n_models), k
-            )
-            self._pruned_am = PrunedAM(packed_am, prune_topk=self.prune_topk)
-        return self._pruned_am
-
-    def _packed(self) -> PackedVectors:
-        """Bit-packed flat ``(k * N, D)`` AM, rebuilt whenever the AM moves."""
-        if self._am is None:
-            raise RuntimeError("model has not been fitted")
-        if self._packed_am is None:
-            k, n_models, dim = self._am.shape
-            self._packed_am = pack_bipolar(self._am.reshape(k * n_models, dim))
-        return self._packed_am
-
-    def _predict_encoded(
-        self, encoded: np.ndarray, engine: str = "float"
-    ) -> np.ndarray:
+    def _predict_encoded(self, encoded: np.ndarray) -> np.ndarray:
         """Classify by the most similar of all ``k * N`` class vectors."""
         k, n_models, dim = self._am.shape
-        if engine == "pruned":
-            return self._pruned().predict(pack_bipolar(encoded))
-        if engine == "packed":
-            scores = packed_dot_similarity(pack_bipolar(encoded), self._packed())
-        elif engine == "float":
-            flat = self._am.reshape(k * n_models, dim).astype(np.float64)
-            scores = dot_similarity(encoded.astype(np.float64), flat)
-        else:
-            raise ValueError(
-                f"engine must be 'float', 'packed' or 'pruned', got {engine!r}"
-            )
+        flat = self._am.reshape(k * n_models, dim).astype(np.float64)
+        scores = dot_similarity(encoded.astype(np.float64), flat)
         best = np.argmax(np.atleast_2d(scores), axis=1)
         return best // n_models
 
@@ -303,6 +227,7 @@ class SearcHD(HDCClassifier):
                 self._am[true_class, target, flips] = encoded[index, flips]
                 updates += 1
         if updates:
-            self._packed_am = None  # the packed mirror is stale now
-            self._pruned_am = None
+            # The flips above wrote in place; re-assign through the setter
+            # so the engine drops its stale packed/pruned copies.
+            self._am = self._am
         return updates

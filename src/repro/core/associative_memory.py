@@ -16,9 +16,10 @@ Two parallel representations are maintained:
     The 1-bit quantized memory actually used for every similarity
     evaluation (and the only thing mapped into the IMC array).
 
-A third, derived representation -- the bit-packed mirror returned by
-:meth:`MultiCentroidAM.packed` -- stores the same 1-bit memory as
-``uint64`` words and serves the ``packed=True`` fast path of every
+A third, derived representation -- the bit-packed mirror and pruned
+index held by :attr:`MultiCentroidAM.engine` (a
+:class:`~repro.hdc.engine.BinaryAMEngine`) -- stores the same 1-bit memory
+as ``uint64`` words and serves the ``packed=True`` fast path of every
 inference method (bit-exact with the float path).
 """
 
@@ -29,6 +30,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.quantization import mean_threshold_binarize, normalize_rows
+from repro.hdc.engine import BinaryAMEngine
 from repro.hdc.packed import PackedAM
 from repro.hdc.pruned import PrunedAM
 from repro.hdc.similarity import dot_similarity
@@ -85,11 +87,8 @@ class MultiCentroidAM:
         self.column_classes = classes
         self.threshold_mode = threshold_mode
         self.normalization = normalization
-        self._packed_am: Optional[PackedAM] = None
-        self._pruned_am: Optional[PrunedAM] = None
-        self.binary_memory = np.zeros_like(fp, dtype=np.int8)
-        #: Shortlist width of the pruned engine (None = heuristic default).
-        self.prune_topk: Optional[int] = None
+        #: Packed mirror and pruned index of :attr:`binary_memory`.
+        self.engine = BinaryAMEngine(self._pack)
         self.refresh_binary()
 
     # ----------------------------------------------------------- properties
@@ -105,8 +104,8 @@ class MultiCentroidAM:
         # drops the derived packed/pruned mirrors, so engine="packed" /
         # "pruned" can never keep answering from a stale copy.
         self._binary_memory = value
-        self._packed_am = None
-        self._pruned_am = None
+        self.engine.invalidate()
+
     @property
     def num_columns(self) -> int:
         """Total number of class vectors ``C``."""
@@ -134,19 +133,20 @@ class MultiCentroidAM:
         return {label: int(count) for label, count in enumerate(counts)}
 
     # ------------------------------------------------------------ inference
+    def _pack(self) -> PackedAM:
+        return PackedAM.from_binary_memory(
+            self.binary_memory, self.column_classes, self.num_classes
+        )
+
     def packed(self) -> PackedAM:
         """Bit-packed mirror of the binary AM (built lazily, cached).
 
         The packed mirror stores the 1-bit memory as ``uint64`` words (8x
         smaller than ``binary_memory``) and answers associative searches
-        with popcount kernels.  It is invalidated by
-        :meth:`refresh_binary`.
+        with popcount kernels.  Any :attr:`binary_memory` assignment
+        invalidates it.
         """
-        if self._packed_am is None:
-            self._packed_am = PackedAM.from_binary_memory(
-                self.binary_memory, self.column_classes, self.num_classes
-            )
-        return self._packed_am
+        return self.engine.packed()
 
     def pruned(self) -> PrunedAM:
         """Centroid-pruned search index over the packed mirror (cached).
@@ -154,18 +154,9 @@ class MultiCentroidAM:
         Screens queries against per-class centroid sketches and exactly
         re-ranks only a shortlist; argmax-identical to the full scan (see
         :class:`repro.hdc.pruned.PrunedAM`).  Shares the packed mirror's
-        storage, honours :attr:`prune_topk`, and is invalidated together
-        with it by :meth:`refresh_binary`.
+        storage and is invalidated together with it.
         """
-        if self._pruned_am is None:
-            self._pruned_am = PrunedAM(self.packed(), prune_topk=self.prune_topk)
-        return self._pruned_am
-
-    def configure_pruning(self, prune_topk: Optional[int]) -> None:
-        """Set the pruned engine's shortlist width (None = heuristic)."""
-        self.prune_topk = prune_topk
-        if self._pruned_am is not None:
-            self._pruned_am.prune_topk = prune_topk
+        return self.engine.pruned()
 
     def scores(self, queries: np.ndarray, packed: bool = False) -> np.ndarray:
         """Dot similarity of binary queries against the binary AM.
@@ -194,26 +185,14 @@ class MultiCentroidAM:
             return self.packed().scores(arr)
         return dot_similarity(arr, self.binary_memory)
 
-    def predict_columns(
-        self, queries: np.ndarray, packed: bool = False, pruned: bool = False
-    ) -> np.ndarray:
-        """Index of the winning AM row for each query.
-
-        ``pruned=True`` routes through the centroid-pruned shortlist
-        search (argmax-identical to the full scan by construction).
-        """
-        if pruned:
-            return self.pruned().predict_columns(np.asarray(queries))
+    def predict_columns(self, queries: np.ndarray, packed: bool = False) -> np.ndarray:
+        """Index of the winning AM row for each query."""
         scores = np.atleast_2d(self.scores(queries, packed=packed))
         return np.argmax(scores, axis=1)
 
-    def predict(
-        self, queries: np.ndarray, packed: bool = False, pruned: bool = False
-    ) -> np.ndarray:
+    def predict(self, queries: np.ndarray, packed: bool = False) -> np.ndarray:
         """Predicted class labels (the class of the winning row)."""
-        return self.column_classes[
-            self.predict_columns(queries, packed=packed, pruned=pruned)
-        ]
+        return self.column_classes[self.predict_columns(queries, packed=packed)]
 
     def class_scores(self, queries: np.ndarray, packed: bool = False) -> np.ndarray:
         """Per-class score: the best similarity among each class's rows."""
@@ -228,7 +207,7 @@ class MultiCentroidAM:
     def refresh_binary(self) -> None:
         """Re-quantize the binary AM from the (normalized) FP AM.
 
-        The assignment invalidates the packed/pruned mirrors through the
+        The assignment invalidates the engine through the
         :attr:`binary_memory` setter.
         """
         normalized = normalize_rows(self.fp_memory, self.normalization)

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines.base import HDCClassifier, TrainingHistory
+from repro.baselines.base import BinaryAMClassifier, TrainingHistory
 from repro.core.associative_memory import MultiCentroidAM
 from repro.core.config import MEMHDConfig
 from repro.core.initialization import (
@@ -32,26 +32,13 @@ from repro.core.initialization import (
 )
 from repro.core.training import QuantizationAwareTrainer
 from repro.hdc.encoders import RandomProjectionEncoder, check_encoder_shape
+from repro.hdc.engine import BinaryAMEngine, check_engine
 from repro.hdc.hypervector import _as_generator, to_binary
 from repro.hdc.memory_model import MemoryReport, model_memory_report
-from repro.runtime.pipeline import ENGINES, InferencePipeline
+from repro.runtime.pipeline import InferencePipeline
 
 
-def _use_packed(engine: str) -> bool:
-    """Validate an engine name and return whether it is the packed one."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine == "packed"
-
-
-def _use_pruned(engine: str) -> bool:
-    """Validate an engine name and return whether it is the pruned one."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine == "pruned"
-
-
-class MEMHDModel(HDCClassifier):
+class MEMHDModel(BinaryAMClassifier):
     """Memory-efficient multi-centroid HDC classifier (the paper's model)."""
 
     name = "MEMHD"
@@ -181,11 +168,9 @@ class MEMHDModel(HDCClassifier):
         """
         am = self._require_am()
         x = np.asarray(features, dtype=np.float64)
-        if _use_packed(engine):
-            return am.packed().predict(self.encoder.encode_packed(x))
-        if _use_pruned(engine):
-            return am.pruned().predict(self.encoder.encode_packed(x))
-        return am.predict(np.atleast_2d(self.encode_binary(x)))
+        if check_engine(engine) == "float":
+            return am.predict(np.atleast_2d(self.encode_binary(x)))
+        return am.engine.predict(self.encoder.encode_packed(x), engine)
 
     def memory_report(self) -> MemoryReport:
         """Table I breakdown: ``f*D`` encoder bits plus ``C*D`` AM bits."""
@@ -198,6 +183,11 @@ class MEMHDModel(HDCClassifier):
         )
 
     # ----------------------------------------------------------- inspection
+    @property
+    def engine(self) -> BinaryAMEngine:
+        """The packed/pruned engine of the trained AM's binary memory."""
+        return self._require_am().engine
+
     @property
     def associative_memory(self) -> MultiCentroidAM:
         """The trained multi-centroid AM."""
@@ -237,36 +227,9 @@ class MEMHDModel(HDCClassifier):
         """
         am = self._require_am()
         x = np.asarray(features, dtype=np.float64)
-        if _use_packed(engine) or _use_pruned(engine):
-            return am.packed().class_scores(self.encoder.encode_packed(x))
-        return am.class_scores(np.atleast_2d(self.encode_binary(x)))
-
-    def prepare_engine(self, engine: str = "float") -> None:
-        """Build engine state ahead of serving (pipeline warm-up hook).
-
-        For the packed engine this packs the binary AM into ``uint64``
-        words; for the pruned engine it additionally builds the per-class
-        centroid sketches.  The encoder's float64 widening of the
-        projection is built in every case, so the first served chunk pays
-        no lazy-initialization cost.
-        """
-        am = self._require_am()
-        self.encoder.widened_projection()
-        if _use_packed(engine):
-            am.packed()
-        elif _use_pruned(engine):
-            am.pruned()
-
-    def configure_pruning(self, prune_topk: Optional[int]) -> None:
-        """Set the pruned engine's shortlist width (None = heuristic)."""
-        self._require_am().configure_pruning(prune_topk)
-
-    def prune_stats(self) -> Optional[Dict[str, float]]:
-        """Prune counters of the pruned engine (None before it is built)."""
-        am = self._am
-        if am is None or am._pruned_am is None:
-            return None
-        return am._pruned_am.stats()
+        if check_engine(engine) == "float":
+            return am.class_scores(np.atleast_2d(self.encode_binary(x)))
+        return am.packed().class_scores(self.encoder.encode_packed(x))
 
     def make_pipeline(
         self,

@@ -249,8 +249,8 @@ def pruned_top1(
         Shortlist width (groups exactly re-ranked per query); ``None``
         uses the ``ceil(sqrt(num_groups))`` heuristic.
     """
+    from repro.hdc.engine import BinaryAMEngine
     from repro.hdc.packed import PackedAM
-    from repro.hdc.pruned import PrunedAM
 
     q, q_squeeze = _atleast_2d(np.asarray(queries))
     r, _ = _atleast_2d(np.asarray(references))
@@ -272,8 +272,9 @@ def pruned_top1(
         # controls pruning granularity, never the returned row).
         _, group_map = np.unique(raw, return_inverse=True)
     q_packed, r_packed = _pack_pair(q, r)
-    index = PrunedAM(PackedAM(r_packed, group_map), prune_topk=prune_topk)
-    rows = index.predict_columns(q_packed)
+    engine = BinaryAMEngine(lambda: PackedAM(r_packed, group_map))
+    engine.configure_pruning(prune_topk)
+    rows = engine.pruned().predict_columns(q_packed)
     if q_squeeze:
         return int(rows[0])
     return rows

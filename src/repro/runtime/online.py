@@ -342,6 +342,8 @@ class OnlineLearner:
                 f"features have {batch.shape[1]} columns but the online "
                 f"model expects {self.num_features}"
             )
+        if not np.isfinite(batch).all():
+            raise ValueError("features must be finite (no NaN or Infinity)")
         try:
             y = np.asarray(labels, dtype=np.int64)
         except (TypeError, ValueError) as error:

@@ -33,8 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Engines a pipeline can route chunks through.
-ENGINES = ("float", "packed", "pruned")
+from repro.hdc.engine import ENGINES, check_engine
 
 #: Floor applied to elapsed wall times before computing rates.  Tiny
 #: batches can finish between two clock ticks, making the raw elapsed time
@@ -153,8 +152,7 @@ class InferencePipeline:
         workers: int = 1,
         prune_topk: Optional[int] = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+        check_engine(engine)
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         if workers <= 0:

@@ -781,6 +781,8 @@ class ModelServer:
                 f"features must be a non-empty (n, f) batch, got shape "
                 f"{batch.shape}"
             )
+        if not np.isfinite(batch).all():
+            raise ValueError("features must be finite (no NaN or Infinity)")
         return batch
 
     def predict_request(

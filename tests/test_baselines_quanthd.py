@@ -150,7 +150,7 @@ class TestQuantHD:
         )
         model.fit(tiny_dataset.train_features, tiny_dataset.train_labels)
         model.prepare_engine("packed")
-        first = model._packed()
-        assert model._packed() is first
+        first = model.engine.packed()
+        assert model.engine.packed() is first
         model.fit(tiny_dataset.train_features, tiny_dataset.train_labels)
-        assert model._packed() is not first
+        assert model.engine.packed() is not first

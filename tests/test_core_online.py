@@ -193,16 +193,19 @@ class TestCacheInvalidation:
     ):
         am = fitted_model.associative_memory
         queries = tiny_dataset.test_features
-        # Warm both derived caches on the initial memory.
+        # Warm both derived caches on the initial memory; they are reused
+        # while the memory holds still.
         fitted_model.predict(queries, engine="packed")
         fitted_model.predict(queries, engine="pruned")
-        assert am._packed_am is not None and am._pruned_am is not None
+        warm_packed, warm_pruned = am.packed(), am.pruned()
+        assert am.packed() is warm_packed and am.pruned() is warm_pruned
         online = OnlineMEMHD(fitted_model, learning_rate=0.5)
         rng = np.random.default_rng(3)
         online.partial_fit(
             tiny_dataset.train_features[:80],
             rng.permutation(tiny_dataset.train_labels[:80]),
         )
+        assert am.packed() is not warm_packed and am.pruned() is not warm_pruned
         base = fitted_model.predict(queries, engine="float")
         np.testing.assert_array_equal(
             fitted_model.predict(queries, engine="packed"), base
@@ -248,13 +251,15 @@ class TestCacheInvalidation:
             )
         stale = fitted_model.predict(queries, engine="packed")
         fitted_model.predict(queries, engine="pruned")
+        warm_packed, warm_pruned = am.packed(), am.pruned()
         assert not np.array_equal(stale, baseline), (
             "updates did not change predictions; the restore scenario "
             "would not exercise the cache"
         )
         # The rollback every restore path performs: assign the snapshot.
         am.binary_memory = snapshot
-        assert am._packed_am is None and am._pruned_am is None
+        assert am.engine.stats() is None
+        assert am.packed() is not warm_packed and am.pruned() is not warm_pruned
         np.testing.assert_array_equal(
             fitted_model.predict(queries, engine="packed"), baseline
         )

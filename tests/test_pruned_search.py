@@ -253,6 +253,26 @@ def _train_data(rng, n=220, f=18, k=6):
     return rng.random((n, f)), rng.integers(0, k, n).astype(np.int64)
 
 
+def _memhd(num_features, num_classes):
+    return MEMHDModel(
+        num_features, num_classes, MEMHDConfig(dimension=256, columns=30)
+    )
+
+
+def _move_binary_am(model, x, y, rng):
+    """Change the model's binary AM through its one setter."""
+    if isinstance(model, MEMHDModel):
+        am = model.associative_memory
+        am.fp_memory = rng.normal(size=am.fp_memory.shape)
+        am.refresh_binary()
+    elif isinstance(model, SearcHD):
+        # A stochastic pass flips bits in place, then re-assigns the AM.
+        encoded = model.encoder.encode(x).astype(np.int8)
+        assert model._stochastic_pass(encoded, rng.permutation(y)) > 0
+    else:
+        model.fit(x, rng.permutation(y))
+
+
 class TestModelEngines:
     @pytest.mark.parametrize(
         "factory",
@@ -272,6 +292,33 @@ class TestModelEngines:
         np.testing.assert_array_equal(model.predict(queries, engine="pruned"), packed)
         stats = model.prune_stats()
         assert stats is not None and stats["queries"] == 100
+        with pytest.raises(ValueError, match="engine must be one of"):
+            model.prepare_engine("bogus")
+        with pytest.raises(ValueError, match="engine must be one of"):
+            model.predict(queries, engine="bogus")
+
+    @pytest.mark.parametrize(
+        "factory",
+        [_memhd, BasicHDC, QuantHD, LeHDC, SearcHD],
+        ids=["MEMHD", "BasicHDC", "QuantHD", "LeHDC", "SearcHD"],
+    )
+    def test_setter_invalidates_warm_engines(self, factory):
+        rng = np.random.default_rng(59)
+        x, y = _train_data(rng)
+        model = factory(18, 6)
+        model.fit(x, y)
+        queries = rng.random((80, 18))
+        model.prepare_engine("packed")
+        model.prepare_engine("pruned")
+        model.configure_pruning(1)
+        before = model.predict(queries, engine="packed")
+        np.testing.assert_array_equal(model.predict(queries, engine="pruned"), before)
+        _move_binary_am(model, x, y, rng)
+        labels = model.predict(queries, engine="float")
+        assert not np.array_equal(labels, before), "the move changed no label"
+        np.testing.assert_array_equal(model.predict(queries, engine="packed"), labels)
+        np.testing.assert_array_equal(model.predict(queries, engine="pruned"), labels)
+        assert model.prune_stats()["prune_topk"] == 1
 
     def test_memhd_pruned_matches_packed(self):
         rng = np.random.default_rng(37)
@@ -286,6 +333,8 @@ class TestModelEngines:
             model.class_scores(queries, engine="pruned"),
             model.class_scores(queries, engine="packed"),
         )
+        with pytest.raises(ValueError, match="engine must be one of"):
+            model.prepare_engine("bogus")
 
     def test_multicentroid_am_invalidation(self):
         # refresh_binary must rebuild the pruned index, not serve stale
@@ -294,13 +343,14 @@ class TestModelEngines:
         fp = rng.normal(size=(20, 128))
         am = MultiCentroidAM(fp, np.repeat(np.arange(5), 4))
         q = rng.integers(0, 2, (9, 128)).astype(np.int8)
-        first = am.predict_columns(q, pruned=True)
+        first = am.pruned().predict_columns(q)
         np.testing.assert_array_equal(first, am.predict_columns(q, packed=True))
         am.fp_memory += rng.normal(size=fp.shape)
         am.refresh_binary()
-        np.testing.assert_array_equal(
-            am.predict_columns(q, pruned=True), am.predict_columns(q, packed=True)
-        )
+        moved = am.predict_columns(q)
+        assert not np.array_equal(moved, first), "refresh moved no winner"
+        np.testing.assert_array_equal(am.pruned().predict_columns(q), moved)
+        np.testing.assert_array_equal(am.predict_columns(q, packed=True), moved)
 
     def test_onlinehd_rejects_pruned(self):
         rng = np.random.default_rng(43)

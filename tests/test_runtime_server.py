@@ -124,6 +124,19 @@ class TestErrorHandling:
             _post(server.url + "/predict", {"features": []})
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_features_400(self, server, trained_memhd, bad):
+        """Bare NaN/Infinity parse as JSON but must not get a 200."""
+        model, _ = trained_memhd
+        row = [0.5] * model.num_features
+        row[-1] = bad
+        body = json.dumps({"features": [[0.5] * model.num_features, row]})
+        assert "NaN" in body or "Infinity" in body
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server.url + "/predict", None, raw=body.encode("utf-8"))
+        assert excinfo.value.code == 400
+        assert "finite" in json.loads(excinfo.value.read())["error"]
+
     def test_negative_content_length_400(self, server):
         """A negative length must not hang the handler in read-to-EOF."""
         import http.client

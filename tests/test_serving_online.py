@@ -421,6 +421,8 @@ class TestFeedbackEndpoint:
             {"features": [[0.0] * 24], "labels": [99]},  # label out of range
             {"features": [[0.0] * 24], "labels": [0, 1]},  # length mismatch
             {"features": [], "labels": []},  # empty batch
+            {"features": [[float("nan")] * 24], "labels": [0]},  # bare NaN
+            {"features": [[0.0] * 23 + [float("inf")]], "labels": [0]},  # Infinity
         ],
     )
     def test_malformed_bodies_are_400(self, online_server, payload):

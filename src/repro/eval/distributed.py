@@ -55,7 +55,14 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.eval.store import ResultRecord, ResultStore
-from repro.eval.sweep import SweepError, SweepSpec, _cell_label, execute_job
+from repro.eval.sweep import (
+    SweepError,
+    SweepSpec,
+    _cell_label,
+    execute_job,
+    expand_jobs,
+    store_cell,
+)
 
 #: Default lease time-to-live.  A worker that misses every heartbeat for
 #: this long is presumed dead and its cell is reclaimed.  Heartbeats fire
@@ -420,12 +427,7 @@ def run_distributed(
     store = ResultStore(paths["results"])
     leases = LeaseDir(paths["leases"], worker, ttl_s=ttl_s, clock=clock)
     poll = float(poll_s) if poll_s is not None else min(1.0, ttl_s / 4.0)
-    jobs = spec.expand()
-    if not jobs:
-        raise SweepError(
-            "sweep spec expanded to an empty grid (every cell was dropped "
-            "as unrealizable -- check model/engine/columns combinations)"
-        )
+    jobs = expand_jobs(spec)
 
     def note(message: str) -> None:
         if progress is not None:
@@ -487,20 +489,19 @@ def run_distributed(
                 event(claim, key=job.key)
                 note(f"  {claim} {_cell_label(job.config)} [{job.key}]")
                 try:
-                    outcome = execute_job(job.as_dict())
-                    record = store.append(
-                        outcome["config"], outcome["metrics"], key=outcome["key"]
+                    record = store_cell(
+                        store,
+                        job,
+                        lambda: execute_job(job.as_dict()),
+                        records,
+                        failed,
+                        note,
                     )
-                    records.append(record)
-                    event("completed", key=job.key)
-                    note(f"  done {_cell_label(job.config)}")
-                except Exception as error:  # noqa: BLE001 - cell must not kill worker
-                    locally_failed.add(job.key)
-                    failed.append(
-                        {"key": job.key, "error": f"{type(error).__name__}: {error}"}
-                    )
-                    event("failed", key=job.key, error=str(error))
-                    note(f"  FAILED {_cell_label(job.config)}: {error}")
+                    if record is None:
+                        locally_failed.add(job.key)
+                        event("failed", key=job.key, error=failed[-1]["error"])
+                    else:
+                        event("completed", key=job.key)
                 finally:
                     leases.release(job.key)
                 progressed = True

@@ -3,9 +3,10 @@
 The paper's headline results are grids -- accuracy over memory budget,
 dimension x centroid count, cluster ratio, IMC noise / ADC precision.
 :class:`SweepSpec` describes such a grid declaratively; the engine expands
-it into concrete jobs, executes them (optionally on a
-:class:`concurrent.futures.ProcessPoolExecutor`) with deterministic
-per-cell seeds, and streams every finished cell into an append-only
+it into concrete jobs, executes them through
+:func:`repro.eval.executor.run_graph` (inline, or over a process pool
+of ``workers``) with deterministic per-cell seeds, and streams every
+finished cell into an append-only
 :class:`repro.eval.store.ResultStore` keyed by a config hash.  Because the
 store is consulted before running, an interrupted or repeated sweep only
 executes the missing cells (**resume**), and two stores can be **diffed**
@@ -37,12 +38,12 @@ import hashlib
 import itertools
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.data.datasets import DATASET_PROFILES, available_datasets, load_dataset
+from repro.eval.executor import run_graph
 from repro.eval.metrics import accuracy
 from repro.eval.store import ResultRecord, ResultStore, config_key
 
@@ -532,7 +533,7 @@ class SweepJob:
 
 
 # --------------------------------------------------------------------------
-# Job execution (module-level so ProcessPoolExecutor can pickle it)
+# Job execution (module-level so process pools can pickle it)
 # --------------------------------------------------------------------------
 def model_for_config(config: Dict[str, Any], model_seed: int):
     """``(untrained model, dataset)`` for one cell configuration.
@@ -694,12 +695,7 @@ def run_sweep(
         raise SweepError(f"workers must be >= 1, got {workers}")
     if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
         store = ResultStore(store)
-    jobs = spec.expand()
-    if not jobs:
-        raise SweepError(
-            "sweep spec expanded to an empty grid (every cell was dropped "
-            "as unrealizable -- check model/engine/columns combinations)"
-        )
+    jobs = expand_jobs(spec)
     done = store.completed_keys() if resume else set()
     pending = [job for job in jobs if job.key not in done]
     skipped = len(jobs) - len(pending)
@@ -716,38 +712,10 @@ def run_sweep(
     records: List[ResultRecord] = []
     failed: List[Dict[str, str]] = []
 
-    def finish(job: SweepJob, outcome: Dict[str, Any]) -> None:
-        record = store.append(outcome["config"], outcome["metrics"], key=outcome["key"])
-        records.append(record)
-        label = _cell_label(job.config)
-        test_accuracy = outcome["metrics"].get("test_accuracy")
-        shown = "-" if test_accuracy is None else f"{100.0 * test_accuracy:.2f}%"
-        note(f"  done {label}: accuracy {shown}")
+    def settle(job: SweepJob, future) -> None:
+        store_cell(store, job, future.result, records, failed, note)
 
-    if workers == 1 or len(pending) <= 1:
-        for job in pending:
-            try:
-                finish(job, execute_job(job.as_dict()))
-            except Exception as error:  # noqa: BLE001 - jobs must not kill the sweep
-                failed.append({"key": job.key, "error": f"{type(error).__name__}: {error}"})
-                note(f"  FAILED {_cell_label(job.config)}: {error}")
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(execute_job, job.as_dict()): job for job in pending}
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    job = futures[future]
-                    error = future.exception()
-                    if error is not None:
-                        failed.append(
-                            {"key": job.key, "error": f"{type(error).__name__}: {error}"}
-                        )
-                        note(f"  FAILED {_cell_label(job.config)}: {error}")
-                    else:
-                        finish(job, future.result())
-
+    run_graph(pending, execute_job, SweepJob.as_dict, settle, workers)
     return SweepRunResult(
         total=len(jobs),
         completed=len(records),
@@ -755,6 +723,47 @@ def run_sweep(
         failed=failed,
         records=records,
     )
+
+
+def expand_jobs(spec: SweepSpec) -> List[SweepJob]:
+    """``spec.expand()``, refusing a grid with no realizable cell."""
+    jobs = spec.expand()
+    if not jobs:
+        raise SweepError(
+            "sweep spec expanded to an empty grid (every cell was dropped "
+            "as unrealizable -- check model/engine/columns combinations)"
+        )
+    return jobs
+
+
+def store_cell(
+    store: ResultStore,
+    job: SweepJob,
+    run: Callable[[], Dict[str, Any]],
+    records: List[ResultRecord],
+    failed: List[Dict[str, str]],
+    note: Callable[[str], None],
+) -> Optional[ResultRecord]:
+    """Append the outcome of ``run()`` (an :func:`execute_job` dict) to ``store``.
+
+    The new record goes onto ``records``, is noted as ``done`` and is
+    returned.  When ``run`` or the append raises, ``{"key", "error"}``
+    goes onto ``failed`` instead, a ``FAILED`` line is noted and ``None``
+    is returned: one cell never kills the sweep.
+    """
+    label = _cell_label(job.config)
+    try:
+        outcome = run()
+        record = store.append(outcome["config"], outcome["metrics"], key=outcome["key"])
+    except Exception as error:  # noqa: BLE001 - jobs must not kill the sweep
+        failed.append({"key": job.key, "error": f"{type(error).__name__}: {error}"})
+        note(f"  FAILED {label}: {error}")
+        return None
+    records.append(record)
+    test_accuracy = record.metrics.get("test_accuracy")
+    shown = "-" if test_accuracy is None else f"{100.0 * test_accuracy:.2f}%"
+    note(f"  done {label}: accuracy {shown}")
+    return record
 
 
 def _cell_label(config: Dict[str, Any]) -> str:

@@ -9,12 +9,13 @@ the same canonical config hash **and** every artifact it recorded
 ``--force`` reruns everything; a crash mid-step leaves only a
 ``running`` row, which resume ignores.
 
-With ``workers > 1`` independent steps fan out over a
-``ProcessPoolExecutor`` using the same FIRST_COMPLETED wait loop as
-:func:`repro.eval.sweep.run_sweep`.  :func:`execute_step` is a
-module-level function taking a plain-dict payload so it pickles into
-worker processes; it captures stdout/stderr and never raises --
-failures come back as ``{"ok": False, ...}`` so the tails survive.
+Steps are scheduled by :func:`repro.eval.executor.run_graph`, the loop
+sweeps use too; with ``workers > 1`` independent steps run in a process
+pool.  :func:`execute_step` is a module-level function taking a
+plain-dict payload so it pickles into worker processes; it captures
+stdout/stderr and never raises -- failures come back as
+``{"ok": False, ...}`` so the tails survive.  A dead worker process
+fails its step with the pool's ``BrokenProcessPool`` error.
 
 Artifacts are addressed with self-describing names so resume can
 re-fingerprint them without re-running the producer:
@@ -38,13 +39,13 @@ import os
 import subprocess
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.eval.executor import run_graph
 from repro.orchestrate.rundb import RunDB
 from repro.orchestrate.spec import OrchestrationError, WorkflowSpec, WorkflowStep
 
@@ -343,7 +344,7 @@ def _checkpoint_artifact(registry, spec: str) -> Dict[str, Any]:
 
 def _execute_bench(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.io.registry import ArtifactRegistry
-    from repro.runtime.pipeline import InferencePipeline
+    from repro.runtime.pipeline import throughput_comparison
 
     config = payload["config"]
     dataset_artifact = _dataset_artifact(config)
@@ -352,29 +353,22 @@ def _execute_bench(payload: Dict[str, Any]) -> Dict[str, Any]:
     model, _, resolved = registry.load_with_manifest(config["model"])
     consumed = [dataset_artifact, _checkpoint_artifact(registry, resolved)]
 
+    # Raises if any two engines disagree on a single label.
+    labels, stats = throughput_comparison(
+        model,
+        ds.test_features,
+        engines=config["engines"],
+        chunk_size=config["batch_size"],
+        repeats=config["repeats"],
+    )
+    accuracy = float(np.mean(labels == ds.test_labels))
     metrics: Dict[str, Any] = {}
-    queries = ds.test_features
-    expected = ds.test_labels
-    for engine in config["engines"]:
-        pipeline = InferencePipeline(
-            model, engine=engine, chunk_size=config["batch_size"]
-        )
-        pipeline.warmup()
-        best_elapsed = None
-        labels = None
-        for _ in range(config["repeats"]):
-            started = time.perf_counter()
-            labels = pipeline.predict(queries)
-            elapsed = time.perf_counter() - started
-            if best_elapsed is None or elapsed < best_elapsed:
-                best_elapsed = elapsed
-        accuracy = float(np.mean(labels == expected))
-        throughput = queries.shape[0] / best_elapsed if best_elapsed else 0.0
-        metrics[f"accuracy_{engine}"] = accuracy
-        metrics[f"queries_per_s_{engine}"] = throughput
+    for run in stats:
+        metrics[f"accuracy_{run.engine}"] = accuracy
+        metrics[f"queries_per_s_{run.engine}"] = run.queries_per_second
         print(
-            f"bench {engine}: accuracy {accuracy:.4f}, "
-            f"{throughput:.0f} queries/s over {queries.shape[0]} rows"
+            f"bench {run.engine}: accuracy {accuracy:.4f}, "
+            f"{run.queries_per_second:.0f} queries/s over {run.total_queries} rows"
         )
     return {"metrics": metrics, "consumed": consumed, "produced": []}
 
@@ -589,8 +583,34 @@ def run_workflow(
         total = len(order)
         outcomes: Dict[str, StepOutcome] = {}
         done: set = set()
+        running: Dict[str, tuple] = {}  # step name -> (row id, start time)
 
-        def payload_for(step: WorkflowStep) -> Dict[str, Any]:
+        def record(step: WorkflowStep, action: str, **extra: Any) -> None:
+            outcomes[step.name] = StepOutcome(
+                step.name, step.kind, step.config_hash, action, **extra
+            )
+
+        def launch(step: WorkflowStep) -> Optional[Dict[str, Any]]:
+            """Skip/block ``step`` (``None``), or begin it and return its payload."""
+            position = len(outcomes) + len(running) + 1  # launched so far + this
+            prefix = f"[{position}/{total}] {step.name}"
+            missing = [need for need in step.needs if need not in done]
+            if missing:
+                emit(f"{prefix}: blocked (needs {', '.join(missing)})")
+                record(step, "blocked", reason=f"needs {', '.join(missing)}")
+                return None
+            reason = "forced" if force else reason_to_run(db, step)
+            if reason is None:
+                emit(f"{prefix}: skipped (up-to-date)")
+                done.add(step.name)
+                record(step, "skipped", reason="up-to-date")
+                return None
+            emit(f"{prefix}: executing ({reason})")
+            step_id = db.begin_step(
+                run_id, step.name, step.kind, step.config_hash,
+                dict(step.config), git_rev,
+            )
+            running[step.name] = (step_id, time.perf_counter())
             return {
                 "name": step.name,
                 "kind": step.kind,
@@ -600,89 +620,40 @@ def run_workflow(
                 "sweep_dir": str(paths["sweeps"]),
             }
 
-        def finish(
-            step: WorkflowStep,
-            step_id: int,
-            result: Dict[str, Any],
-            wall_s: float,
-        ) -> StepOutcome:
+        def settle(step: WorkflowStep, future) -> None:
+            step_id, started = running.pop(step.name)
+            wall_s = time.perf_counter() - started
+            error = future.exception()
+            if error is None:
+                result = future.result()
+            else:  # the worker process died: BrokenProcessPool
+                result = {"ok": False, "error": f"{type(error).__name__}: {error}"}
             if result["ok"]:
                 db.record_artifacts(step_id, "consumed", result["consumed"])
                 db.record_artifacts(step_id, "produced", result["produced"])
-                db.finish_step(
-                    step_id,
-                    "completed",
-                    wall_s=wall_s,
-                    metrics=result["metrics"],
-                    stdout_tail=result["stdout_tail"],
-                    stderr_tail=result["stderr_tail"],
-                )
                 done.add(step.name)
-                return StepOutcome(
-                    step.name, step.kind, step.config_hash, "executed",
-                    wall_s=wall_s,
-                )
             db.finish_step(
                 step_id,
-                "failed",
+                "completed" if result["ok"] else "failed",
                 wall_s=wall_s,
-                stdout_tail=result["stdout_tail"],
-                stderr_tail=result["stderr_tail"],
-                error=result["error"],
+                metrics=result.get("metrics"),
+                stdout_tail=result.get("stdout_tail", ""),
+                stderr_tail=result.get("stderr_tail", ""),
+                error=result.get("error"),
             )
-            return StepOutcome(
-                step.name, step.kind, step.config_hash, "failed",
-                wall_s=wall_s, error=result["error"],
-            )
+            action = "executed" if result["ok"] else "failed"
+            record(step, action, wall_s=wall_s, error=result.get("error"))
+            if not result["ok"]:
+                emit(f"    {step.name} failed: {result['error']}")
 
-        def schedule(step: WorkflowStep, position: int) -> Union[StepOutcome, int]:
-            """Skip/block ``step``, or begin it and return its DB row id."""
-            prefix = f"[{position}/{total}] {step.name}"
-            missing = [need for need in step.needs if need not in done]
-            if missing:
-                emit(f"{prefix}: blocked (needs {', '.join(missing)})")
-                return StepOutcome(
-                    step.name, step.kind, step.config_hash, "blocked",
-                    reason=f"needs {', '.join(missing)}",
-                )
-            reason = "forced" if force else reason_to_run(db, step)
-            if reason is None:
-                emit(f"{prefix}: skipped (up-to-date)")
-                done.add(step.name)
-                return StepOutcome(
-                    step.name, step.kind, step.config_hash, "skipped",
-                    reason="up-to-date",
-                )
-            emit(f"{prefix}: executing ({reason})")
-            return db.begin_step(
-                run_id, step.name, step.kind, step.config_hash,
-                dict(step.config), git_rev,
-            )
-
-        if workers <= 1:
-            for position, step in enumerate(order, start=1):
-                scheduled = schedule(step, position)
-                if isinstance(scheduled, StepOutcome):
-                    outcomes[step.name] = scheduled
-                    continue
-                started = time.perf_counter()
-                result = execute_step(payload_for(step))
-                outcome = finish(
-                    step, scheduled, result, time.perf_counter() - started
-                )
-                outcomes[step.name] = outcome
-                if outcome.action == "failed":
-                    emit(f"    {step.name} failed: {outcome.error}")
-        else:
-            _run_pool(order, schedule, finish, payload_for, outcomes, workers, emit)
-
-        # Anything never reached (dependents of failures) is blocked.
-        for step in order:
-            if step.name not in outcomes:
-                outcomes[step.name] = StepOutcome(
-                    step.name, step.kind, step.config_hash, "blocked",
-                    reason="upstream failure",
-                )
+        run_graph(
+            order,
+            execute_step,
+            launch,
+            settle,
+            workers,
+            needs=lambda step: [spec.step(need) for need in step.needs],
+        )
         ordered = [outcomes[step.name] for step in order]
         run_outcome = (
             "completed"
@@ -694,75 +665,3 @@ def run_workflow(
     finally:
         if owns_db:
             db.close()
-
-
-def _run_pool(
-    order: List[WorkflowStep],
-    schedule: Callable,
-    finish: Callable,
-    payload_for: Callable,
-    outcomes: Dict[str, StepOutcome],
-    workers: int,
-    emit: Callable[[str], None],
-) -> None:
-    """Fan independent steps out over processes (run_sweep's wait loop)."""
-    total = len(order)
-    remaining = {step.name: set(step.needs) for step in order}
-    settled: set = set()  # steps with a final outcome this run
-    position = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures: Dict[Any, tuple] = {}
-        while len(settled) < total:
-            launched = False
-            for step in order:
-                if step.name in settled or step.name in {
-                    meta[0].name for meta in futures.values()
-                }:
-                    continue
-                deps_settled = all(
-                    need in settled and outcomes.get(need) is not None
-                    for need in remaining[step.name]
-                )
-                if not deps_settled:
-                    continue
-                position += 1
-                scheduled = schedule(step, position)
-                if isinstance(scheduled, StepOutcome):
-                    outcomes[step.name] = scheduled
-                    settled.add(step.name)
-                    launched = True
-                    continue
-                future = pool.submit(execute_step, payload_for(step))
-                futures[future] = (step, scheduled, time.perf_counter())
-                launched = True
-            if launched:
-                continue
-            if not futures:  # every runnable step settled; rest are blocked
-                break
-            finished, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-            for future in finished:
-                step, step_id, started = futures.pop(future)
-                result = future.result()
-                outcome = finish(
-                    step, step_id, result, time.perf_counter() - started
-                )
-                outcomes[step.name] = outcome
-                settled.add(step.name)
-                if outcome.action == "failed":
-                    emit(f"    {step.name} failed: {outcome.error}")
-    # Steps whose dependencies failed never launched; mark them blocked.
-    for step in order:
-        if step.name not in outcomes:
-            needs = ", ".join(
-                need
-                for need in step.needs
-                if outcomes.get(need, None) is None
-                or outcomes[need].action in ("failed", "blocked")
-            )
-            outcomes[step.name] = StepOutcome(
-                step.name,
-                step.kind,
-                step.config_hash,
-                "blocked",
-                reason=f"needs {needs}" if needs else "upstream failure",
-            )

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.orchestrate import (
     run_workflow,
     workdir_paths,
 )
+from repro.orchestrate import runner
 
 pytest.importorskip("yaml")
 
@@ -157,10 +160,16 @@ def test_step_rows_carry_tails_and_git_rev(completed_workdir):
 def test_second_run_skips_everything(completed_workdir):
     workdir, _ = completed_workdir
     before = end_state(workdir)
-    result = run_workflow(tiny_spec(), workdir)
+    lines = []
+    result = run_workflow(tiny_spec(), workdir, progress=lines.append)
     assert result.ok
     assert set(actions(result).values()) == {"skipped"}
     assert end_state(workdir) == before
+    # workers=1 walks execution_order() strictly
+    assert lines == [
+        f"[{i}/5] {name}: skipped (up-to-date)"
+        for i, name in enumerate(("prep", "train", "grid", "bench", "smoke"), 1)
+    ]
 
 
 def test_end_state_deterministic_across_workdirs(completed_workdir, tmp_path):
@@ -210,7 +219,8 @@ def test_deleted_artifact_triggers_rerun(tmp_path):
     assert what["train"] == "executed"  # produced artifact vanished
 
 
-def test_failed_step_blocks_dependents_and_fails_run(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_step_blocks_dependents_and_fails_run(tmp_path, workers):
     payload = tiny_payload()
     # bench addresses a model nobody trains -> the step itself fails
     payload["steps"] = [
@@ -232,16 +242,55 @@ def test_failed_step_blocks_dependents_and_fails_run(tmp_path):
             },
         },
     ]
-    result = run_workflow(WorkflowSpec.from_dict(payload), tmp_path)
+    lines = []
+    result = run_workflow(
+        WorkflowSpec.from_dict(payload),
+        tmp_path,
+        workers=workers,
+        progress=lines.append,
+    )
     assert not result.ok
     what = actions(result)
     assert what == {"prep": "executed", "bench": "failed", "smoke": "blocked"}
+    assert [line for line in lines if line.startswith("[")] == [
+        "[1/3] prep: executing (never completed)",
+        "[2/3] bench: executing (never completed)",
+        "[3/3] smoke: blocked (needs bench)",
+    ]
     failed = next(step for step in result.steps if step.name == "bench")
     assert "ghost" in failed.error
     with RunDB(workdir_paths(tmp_path)["rundb"]) as db:
         record = db.step_rows()[-1]
         assert record.step == "bench" and record.outcome == "failed"
         assert "ghost" in (record.error or "")
+        assert db.runs()[-1].outcome == "failed"
+
+
+def _die(payload):
+    os._exit(3)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched step executor",
+)
+def test_dead_step_process_fails_step_and_blocks_dependents(tmp_path, monkeypatch):
+    """A step process that dies fails its step instead of aborting the run."""
+    monkeypatch.setitem(runner._KIND_EXECUTORS, "dataset", _die)
+    result = run_workflow(tiny_spec(), tmp_path, workers=2)
+    assert not result.ok
+    assert actions(result) == {
+        "prep": "failed",
+        "train": "blocked",
+        "grid": "blocked",
+        "bench": "blocked",
+        "smoke": "blocked",
+    }
+    assert result.steps[0].error.startswith("BrokenProcessPool: ")
+    with RunDB(workdir_paths(tmp_path)["rundb"]) as db:
+        rows = db.step_rows()
+        assert [(row.step, row.outcome) for row in rows] == [("prep", "failed")]
+        assert rows[0].error.startswith("BrokenProcessPool: ")
         assert db.runs()[-1].outcome == "failed"
 
 

@@ -9,20 +9,20 @@ missing cell.  That is done with lease files on the shared directory (a
 POSIX filesystem both workers can see: one machine's tmpdir for tests
 and CI, NFS or similar for real multi-host pools):
 
-* **claim** -- ``O_CREAT | O_EXCL`` of ``<key>.lease``: the kernel
-  guarantees exactly one creator, no server or database required.  The
-  lease body records worker id, hostname, pid and claim time; liveness
-  is the file's **mtime**.
+* **claim** -- hard-link a fully written staging file to ``<key>.lease``:
+  the kernel lets exactly one ``link`` win, no server or database needed,
+  and no reader sees a half-written claim.  The lease body records
+  worker id, hostname, pid and claim time; liveness is its **mtime**.
 * **renew** -- a heartbeat thread touches every held lease (``os.utime``)
   every ``ttl/4`` seconds.  Renewal never rewrites the body, so a
   reader can never observe a torn lease from a *live* owner.
 * **expire** -- a lease whose mtime is older than the TTL belongs to a
   crashed (or partitioned) worker.  Unparsable/empty lease bodies --
-  a writer killed mid-create -- are treated as expired immediately.
+  a damaged claim record -- are treated as expired immediately.
 * **reclaim** -- takeover is ``os.rename`` of the stale lease to a
   unique tombstone: rename is atomic, so of N racing reclaimers exactly
   one wins (the rest get ``FileNotFoundError``), and the winner then
-  re-runs the ordinary ``O_EXCL`` claim.
+  re-runs the ordinary claim.
 * **release** -- the result is appended to the shared store *first*,
   then the lease is unlinked.  A crash between the two is safe: the next
   claimant re-checks the store after claiming and releases immediately.
@@ -232,10 +232,6 @@ class LeaseDir:
 
     def _create(self, key: str) -> bool:
         path = self.lease_path(key)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            return False
         now = float(self.clock())
         token = os.urandom(8).hex()
         body = json.dumps(
@@ -248,11 +244,16 @@ class LeaseDir:
             },
             sort_keys=True,
         )
+        # An O_EXCL create would show racers an empty (torn) body to reclaim.
+        staging = path.with_name(f"{path.name}.new.{token}")
         try:
-            os.write(fd, body.encode("utf-8"))
+            staging.write_bytes(body.encode("utf-8"))
+            os.utime(staging, (now, now))
+            os.link(staging, path)
+        except FileExistsError:
+            return False
         finally:
-            os.close(fd)
-        os.utime(path, (now, now))
+            staging.unlink(missing_ok=True)
         with self._lock:
             self._held[key] = (path, token)
         return True

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -33,6 +34,17 @@ try:  # POSIX advisory locking for multi-writer (distributed sweep) appends
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
+
+#: Held across every append; ``fork`` waits for it.  A child forked
+#: mid-append would inherit the open handle and keep its ``flock`` held
+#: for the child's whole life, blocking every later append.
+_APPEND_GUARD = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_APPEND_GUARD.acquire,
+        after_in_parent=_APPEND_GUARD.release,
+        after_in_child=_APPEND_GUARD.release,
+    )
 
 #: Metrics excluded from diffs by default: wall-clock measurements vary
 #: run to run and machine to machine, unlike accuracies and memory sizes.
@@ -229,7 +241,7 @@ class ResultStore:
             key=key or config_key(config), config=dict(config), metrics=dict(metrics)
         )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a+b") as handle:
+        with _APPEND_GUARD, open(self.path, "a+b") as handle:
             if fcntl is not None:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             self._truncate_torn_tail(handle)

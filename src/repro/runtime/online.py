@@ -304,6 +304,7 @@ class OnlineLearner:
         self._promote_failures = 0
         self._checkpoints = 0
         self._unpersisted = 0
+        self._in_flight = 0  # drained rows whose round has not finished
         self._last_shadow_accuracy: Optional[float] = None
         self._last_live_accuracy: Optional[float] = None
         self._last_promoted_spec: Optional[str] = None
@@ -447,23 +448,26 @@ class OnlineLearner:
         with self._step_lock:
             if len(self.buffer) < (1 if force else self.config.min_feedback):
                 return None
-            items = self.buffer.drain()
-            if not items:
-                return None
-            features = np.stack([row for row, _ in items])
-            labels = np.asarray([label for _, label in items], dtype=np.int64)
-            updates = 0
-            for start in range(0, len(items), self.config.fold_chunk):
-                result = self._online.partial_fit(
-                    features[start : start + self.config.fold_chunk],
-                    labels[start : start + self.config.fold_chunk],
-                )
-                updates += int(result["updates"])
-            self._folded += len(items)
-            self._updates += updates
-            self._unpersisted += len(items)
-            self._rounds += 1
-            return self._gate(folded=len(items), updates=updates)
+            with self._submit_lock:  # stats() still counts them as buffered
+                items = self.buffer.drain()
+                self._in_flight = len(items)
+            try:
+                features = np.stack([row for row, _ in items])
+                labels = np.asarray([label for _, label in items], dtype=np.int64)
+                updates = 0
+                for start in range(0, len(items), self.config.fold_chunk):
+                    result = self._online.partial_fit(
+                        features[start : start + self.config.fold_chunk],
+                        labels[start : start + self.config.fold_chunk],
+                    )
+                    updates += int(result["updates"])
+                self._folded += len(items)
+                self._updates += updates
+                self._unpersisted += len(items)
+                self._rounds += 1
+                return self._gate(folded=len(items), updates=updates)
+            finally:
+                self._in_flight = 0
 
     def _holdout(self) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         with self._submit_lock:
@@ -588,7 +592,7 @@ class OnlineLearner:
                     "requests": self._requests,
                     "accepted": self._accepted,
                     "rejected": self._rejected,
-                    "buffered": len(self.buffer),
+                    "buffered": len(self.buffer) + self._in_flight,
                     "held_out": self._eval_held,
                     "eval_window": len(self._eval_reservoir),
                     "folded": self._folded,

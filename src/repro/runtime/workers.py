@@ -682,15 +682,17 @@ class WorkerSupervisor:
         """Replay recorded reloads onto a freshly respawned worker."""
         if not slot.ready.wait(timeout=self.start_timeout):
             return
-        for payload in list(self._last_reload.values()):
-            try:
-                self._control_request(
-                    slot,
-                    {"op": "reload", "payload": dict(payload)},
-                    timeout=CONTROL_TIMEOUT_S,
-                )
-            except (OSError, EOFError, TimeoutError, BrokenPipeError):
-                return
+        # Serialized with fan-outs, so an older payload never lands last.
+        with self._reload_lock:
+            for payload in list(self._last_reload.values()):
+                try:
+                    self._control_request(
+                        slot,
+                        {"op": "reload", "payload": dict(payload)},
+                        timeout=CONTROL_TIMEOUT_S,
+                    )
+                except (OSError, EOFError, TimeoutError, BrokenPipeError):
+                    return
 
     def shutdown(self, drain: bool = True) -> None:
         """Stop the pool: drain (or kill) workers, release the port.
@@ -939,13 +941,13 @@ class WorkerSupervisor:
                         "status": int(reply.get("status", 500)),
                         "error": str(reply.get("error", "reload failed")),
                     }
-        if not results:
-            first = next(iter(failures.values()))
-            raise ServerError(int(first["status"]), str(first["error"]))
-        # Remember the winning payload (keyed by routing key) so a worker
-        # respawned later converges to this same version (promotion and
-        # rollback both land here).
-        self._last_reload[payload.get("model")] = dict(payload)
+            if not results:
+                first = next(iter(failures.values()))
+                raise ServerError(int(first["status"]), str(first["error"]))
+            # Remember the winning payload (keyed by routing key) so a
+            # worker respawned later converges to this same version
+            # (promotion and rollback both land here).
+            self._last_reload[payload.get("model")] = dict(payload)
         response = dict(next(iter(sorted(results.items())))[1])
         response["status"] = "reloaded" if not failures else "partial"
         response["workers"] = {

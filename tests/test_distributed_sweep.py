@@ -201,7 +201,7 @@ class TestChaosEquivalence:
 # --------------------------------------------------------------------------
 class TestClaimRace:
     def test_exactly_one_racer_wins_each_claim(self, tmp_path):
-        """Two workers racing the same key: the O_EXCL create has one winner."""
+        """Two workers racing the same key: the exclusive create has one winner."""
         rounds = 25
         for round_index in range(rounds):
             key = f"cell{round_index:04d}"

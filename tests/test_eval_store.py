@@ -1,6 +1,9 @@
 """Tests for the append-only JSONL result store (repro.eval.store)."""
 
 import json
+import multiprocessing
+import threading
+import time
 
 import pytest
 
@@ -111,6 +114,51 @@ class TestResultStore:
     def test_record_requires_all_fields(self):
         with pytest.raises(StoreError):
             ResultRecord.from_dict({"key": "abc", "config": {}})
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_fork_during_append_does_not_wedge_later_appends(
+        self, tmp_path, monkeypatch
+    ):
+        """A child forked while another thread appends must not inherit the
+        append's locked handle: it would hold the lock for its whole life."""
+        store = ResultStore(tmp_path / "r.jsonl")
+        inside, proceed, forked = (threading.Event() for _ in range(3))
+        repair = ResultStore._truncate_torn_tail
+
+        def parked_repair(handle):
+            inside.set()
+            assert proceed.wait(timeout=30.0)
+            return repair(handle)
+
+        monkeypatch.setattr(
+            ResultStore, "_truncate_torn_tail", staticmethod(parked_repair)
+        )
+        writer = threading.Thread(target=store.append, args=({"cell": 1}, {}))
+        writer.start()
+        assert inside.wait(timeout=30.0)
+        monkeypatch.setattr(ResultStore, "_truncate_torn_tail", staticmethod(repair))
+        child = multiprocessing.get_context("fork").Process(
+            target=time.sleep, args=(60.0,), daemon=True
+        )
+        forker = threading.Thread(target=lambda: (child.start(), forked.set()))
+        forker.start()
+        forked.wait(timeout=1.0)  # an unguarded fork lands mid-append here
+        proceed.set()
+        writer.join(timeout=30.0)
+        forker.join(timeout=30.0)
+        try:
+            second = threading.Thread(target=store.append, args=({"cell": 2}, {}))
+            second.start()
+            second.join(timeout=10.0)
+            assert not second.is_alive(), "append blocked by the forked child"
+        finally:
+            child.kill()
+            child.join(timeout=10.0)
+            second.join(timeout=10.0)
+        assert [record.config["cell"] for record in store.records()] == [1, 2]
 
 
 class TestStoreDiff:

@@ -11,8 +11,8 @@ across several workers.  The invariants pinned here:
   makes harmless via the store re-check).
 * **liveness** -- a key whose owner vanishes (crash: the worker simply
   stops renewing) becomes claimable by anyone after TTL + epsilon.
-* **torn claim records** -- an empty or unparsable lease body (creator
-  killed mid-write) is expired immediately, regardless of mtime, so a
+* **torn claim records** -- an empty or unparsable lease body (a
+  damaged claim record) is expired immediately, regardless of mtime, so a
   torn file can never wedge a cell forever.  This behaviour is pinned:
   changing it silently would re-introduce the wedge.
 """
@@ -158,8 +158,7 @@ def test_abandoned_key_becomes_claimable_after_ttl(tmp_path_factory, advance, re
 def test_torn_claim_records_are_expired_regardless_of_mtime(tmp_path_factory, body):
     """Any lease body that is not a valid claim record is expired instantly.
 
-    ``O_CREAT|O_EXCL`` then write means a killed creator can leave a
-    prefix of the body (or nothing).  Whatever bytes remain -- pinned for
+    A damaged claim record can hold a prefix of the body (or nothing).  Whatever bytes remain -- pinned for
     *arbitrary* junk here, fresh mtime and all -- the next claimant must
     be able to take the cell over immediately.
     """

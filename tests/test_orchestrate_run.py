@@ -219,8 +219,15 @@ def test_deleted_artifact_triggers_rerun(tmp_path):
     assert what["train"] == "executed"  # produced artifact vanished
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_failed_step_blocks_dependents_and_fails_run(tmp_path, workers):
+def test_failed_step_blocks_dependents_and_fails_run(tmp_path):
+    _check_failed_step_blocks_dependents(tmp_path, workers=1)
+
+
+def test_failed_step_blocks_dependents_and_fails_run_in_pool(tmp_path):
+    _check_failed_step_blocks_dependents(tmp_path, workers=2)
+
+
+def _check_failed_step_blocks_dependents(tmp_path, workers):
     payload = tiny_payload()
     # bench addresses a model nobody trains -> the step itself fails
     payload["steps"] = [

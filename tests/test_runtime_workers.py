@@ -35,6 +35,7 @@ from repro.io.registry import ArtifactRegistry
 from repro.runtime.workers import (
     WorkerConfig,
     WorkerSupervisor,
+    _WorkerSlot,
     fork_available,
     reuseport_available,
 )
@@ -310,3 +311,51 @@ class TestReloadFanout:
                 )
                 assert status == 200
                 assert payload["labels"] == expected["v2"]
+
+    def test_resync_cannot_undo_a_fanout_that_reached_the_worker(self, tmp_path):
+        """A respawned worker's replay must not land after a newer reload.
+
+        The fan-out has delivered ``v2`` to the fresh worker and is still
+        waiting on its reply when the resync thread starts; the replay of
+        the last recorded payload (``v1``) must wait for the fan-out, so
+        the worker ends on ``v2``.
+        """
+        config = WorkerConfig(models=("demo:v1",), store=str(tmp_path))
+        supervisor = WorkerSupervisor(config, workers=1)  # never started
+
+        class _Running:
+            def is_alive(self):
+                return True
+
+        slot = _WorkerSlot(0)
+        slot.process = _Running()
+        slot.control_conn = object()
+        slot.ready.set()
+        supervisor._slots[0] = slot
+        supervisor._last_reload["demo"] = {"model": "demo", "spec": "demo:v1"}
+        applied = []
+        delivered = threading.Event()
+        reply_released = threading.Event()
+
+        def control(target, message, timeout):
+            spec = message["payload"]["spec"]
+            applied.append(spec)
+            if spec == "demo:v2" and not delivered.is_set():
+                delivered.set()
+                assert reply_released.wait(timeout=30.0)
+            return {"ok": True, "value": {"spec": spec}}
+
+        supervisor._control_request = control
+        fanout = threading.Thread(
+            target=supervisor.reload, args=({"model": "demo", "spec": "demo:v2"},)
+        )
+        fanout.start()
+        assert delivered.wait(timeout=30.0)
+        resync = threading.Thread(target=supervisor._resync_worker, args=(slot,))
+        resync.start()
+        resync.join(timeout=0.5)  # an unserialized replay finishes here
+        reply_released.set()
+        fanout.join(timeout=30.0)
+        resync.join(timeout=30.0)
+        assert not fanout.is_alive() and not resync.is_alive()
+        assert applied[-1] == "demo:v2", applied

@@ -25,15 +25,28 @@ inference method (bit-exact with the float path).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.core.quantization import mean_threshold_binarize, normalize_rows
 from repro.hdc.engine import BinaryAMEngine
-from repro.hdc.packed import PackedAM
+from repro.hdc.packed import PackedAM, PackedVectors
 from repro.hdc.pruned import PrunedAM
 from repro.hdc.similarity import dot_similarity
+
+
+def _sum_rows_in_order(block: np.ndarray) -> np.ndarray:
+    """``block[0] + block[1] + ...`` added strictly left to right.
+
+    A reduction over axis 0 of a C-contiguous ``(m, D)`` block adds whole
+    rows in order.  With ``D == 1`` the reduced axis becomes the contiguous
+    one, where numpy switches to pairwise summation, so that case runs a
+    (always sequential) cumulative sum instead.
+    """
+    if block.shape[1] == 1:
+        return np.add.accumulate(block[:, 0])[-1:]
+    return np.add.reduce(block, axis=0)
 
 
 class MultiCentroidAM:
@@ -158,14 +171,19 @@ class MultiCentroidAM:
         """
         return self.engine.pruned()
 
-    def scores(self, queries: np.ndarray, packed: bool = False) -> np.ndarray:
+    def scores(
+        self, queries: Union[np.ndarray, PackedVectors], packed: bool = False
+    ) -> np.ndarray:
         """Dot similarity of binary queries against the binary AM.
 
         Parameters
         ----------
         queries:
             ``(n, D)`` or ``(D,)`` binary ``{0, 1}`` query hypervectors
-            (the output of the binary projection encoder).
+            (the output of the binary projection encoder), or a
+            :class:`~repro.hdc.packed.PackedVectors` batch of them
+            (``packed=True`` only), which skips re-packing queries that are
+            scored more than once.
         packed:
             When ``True``, evaluate through the bit-packed popcount engine
             (bit-exact with the float path, far less memory traffic).
@@ -173,8 +191,13 @@ class MultiCentroidAM:
         Returns
         -------
         numpy.ndarray
-            ``(n, C)`` similarity matrix (or ``(C,)`` for a single query).
+            ``(n, C)`` similarity matrix (or ``(C,)`` for a single unpacked
+            query).
         """
+        if isinstance(queries, PackedVectors):
+            if not packed:
+                raise ValueError("PackedVectors queries require packed=True")
+            return self.packed().scores(queries)
         arr = np.asarray(queries)
         if arr.shape[-1] != self.dimension:
             raise ValueError(
@@ -185,16 +208,22 @@ class MultiCentroidAM:
             return self.packed().scores(arr)
         return dot_similarity(arr, self.binary_memory)
 
-    def predict_columns(self, queries: np.ndarray, packed: bool = False) -> np.ndarray:
+    def predict_columns(
+        self, queries: Union[np.ndarray, PackedVectors], packed: bool = False
+    ) -> np.ndarray:
         """Index of the winning AM row for each query."""
         scores = np.atleast_2d(self.scores(queries, packed=packed))
         return np.argmax(scores, axis=1)
 
-    def predict(self, queries: np.ndarray, packed: bool = False) -> np.ndarray:
+    def predict(
+        self, queries: Union[np.ndarray, PackedVectors], packed: bool = False
+    ) -> np.ndarray:
         """Predicted class labels (the class of the winning row)."""
         return self.column_classes[self.predict_columns(queries, packed=packed)]
 
-    def class_scores(self, queries: np.ndarray, packed: bool = False) -> np.ndarray:
+    def class_scores(
+        self, queries: Union[np.ndarray, PackedVectors], packed: bool = False
+    ) -> np.ndarray:
         """Per-class score: the best similarity among each class's rows."""
         scores = np.atleast_2d(self.scores(queries, packed=packed))
         result = np.full((scores.shape[0], self.num_classes), -np.inf)
@@ -225,7 +254,11 @@ class MultiCentroidAM:
 
         ``add_rows[i]`` receives ``+ learning_rate * add_vectors[i]`` and
         ``subtract_rows[i]`` receives ``- learning_rate * subtract_vectors[i]``.
-        Repeated row indices accumulate (``np.add.at`` semantics).  The
+        Repeated row indices accumulate with ``np.add.at`` semantics, bit
+        for bit: every row adds its updates left to right, all additions
+        in order first and then all subtractions in order.  The updates
+        are grouped by row (a stable sort), so each touched row costs one
+        ordered reduction instead of one scattered add per update.  The
         binary AM is *not* refreshed here; call :meth:`refresh_binary` at
         the configured interval.
         """
@@ -233,12 +266,33 @@ class MultiCentroidAM:
             raise ValueError("learning_rate must be positive")
         add_rows = np.asarray(add_rows, dtype=np.int64)
         subtract_rows = np.asarray(subtract_rows, dtype=np.int64)
-        add_vectors = np.asarray(add_vectors, dtype=np.float64)
-        subtract_vectors = np.asarray(subtract_vectors, dtype=np.float64)
-        if add_rows.size:
-            np.add.at(self.fp_memory, add_rows, learning_rate * add_vectors)
-        if subtract_rows.size:
-            np.add.at(self.fp_memory, subtract_rows, -learning_rate * subtract_vectors)
+        add_vectors = np.broadcast_to(add_vectors, (add_rows.size, self.dimension))
+        subtract_vectors = np.broadcast_to(
+            subtract_vectors, (subtract_rows.size, self.dimension)
+        )
+        rows = np.concatenate([add_rows, subtract_rows])
+        if rows.size == 0:
+            return
+        # Stable: each row's additions keep their order and precede its
+        # subtractions, which keep theirs -- np.add.at's order.
+        order = np.argsort(rows, kind="stable")
+        touched, counts = np.unique(rows[order], return_counts=True)
+        # One block per touched row: its current FP row, then its updates.
+        heads = np.cumsum(counts + 1) - (counts + 1)
+        slots = np.arange(rows.size) + np.repeat(np.arange(1, touched.size + 1), counts)
+        blocks = np.empty((rows.size + touched.size, self.dimension))
+        blocks[heads] = self.fp_memory[touched]
+        added = order < add_rows.size
+        blocks[slots[added]] = np.multiply(
+            learning_rate, add_vectors[order[added]], dtype=np.float64
+        )
+        blocks[slots[~added]] = np.multiply(
+            -learning_rate,
+            subtract_vectors[order[~added] - add_rows.size],
+            dtype=np.float64,
+        )
+        for row, head, count in zip(touched, heads, counts):
+            self.fp_memory[row] = _sum_rows_in_order(blocks[head : head + count + 1])
 
     # ---------------------------------------------------------- persistence
     def checkpoint_arrays(self) -> Dict[str, np.ndarray]:

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.core.associative_memory import MultiCentroidAM
+from repro.core.training import pack_encodings
 from repro.eval.metrics import misclassification_counts
 from repro.hdc.clustering import dot_kmeans
 from repro.hdc.hypervector import _as_generator
@@ -158,7 +159,8 @@ def clustering_initialization(
     Parameters
     ----------
     encoded:
-        ``(n, D)`` encoded training hypervectors (binary ``{0, 1}``).
+        ``(n, D)`` encoded training hypervectors (binary ``{0, 1}``, any
+        dtype); other values raise :class:`ValueError`.
     labels:
         ``(n,)`` integer class labels.
     columns:
@@ -189,6 +191,8 @@ def clustering_initialization(
         raise ValueError("encoded and labels must have the same length")
     if columns < num_classes:
         raise ValueError("columns must be >= num_classes")
+    # Packed once: the contract check, and every validation round's queries.
+    packed_samples = pack_encodings(samples)
     present = np.unique(y)
     if present.size != num_classes or present.min() != 0 or present.max() != num_classes - 1:
         missing = sorted(set(range(num_classes)) - set(int(c) for c in present))
@@ -231,7 +235,7 @@ def clustering_initialization(
             threshold_mode=threshold_mode,
             normalization=normalization,
         )
-        predictions = am.predict(samples)
+        predictions = am.predict(packed_samples, packed=True)
         wrong = misclassification_counts(predictions, y, num_classes)
 
         # Distribute the batch proportionally to misclassification counts,

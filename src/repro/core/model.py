@@ -33,7 +33,7 @@ from repro.core.initialization import (
 from repro.core.training import QuantizationAwareTrainer
 from repro.hdc.encoders import RandomProjectionEncoder, check_encoder_shape
 from repro.hdc.engine import BinaryAMEngine, check_engine
-from repro.hdc.hypervector import _as_generator, to_binary
+from repro.hdc.hypervector import _as_generator
 from repro.hdc.memory_model import MemoryReport, model_memory_report
 from repro.runtime.pipeline import InferencePipeline
 
@@ -97,7 +97,7 @@ class MEMHDModel(BinaryAMClassifier):
         x, y = self._check_fit_inputs(features, labels)
         if np.any(y >= self.num_classes):
             raise ValueError("label outside the configured number of classes")
-        encoded = self.encode_binary(x).astype(np.float64)
+        encoded = self.encode_binary(x)
 
         if self.config.init_method == "clustering":
             init = clustering_initialization(
@@ -141,9 +141,7 @@ class MEMHDModel(BinaryAMClassifier):
         if validation is not None:
             val_x, val_y = validation
             validation_encoded = (
-                self.encode_binary(np.asarray(val_x, dtype=np.float64)).astype(
-                    np.float64
-                ),
+                self.encode_binary(np.asarray(val_x, dtype=np.float64)),
                 np.asarray(val_y, dtype=np.int64),
             )
         return trainer.train(
@@ -210,10 +208,10 @@ class MEMHDModel(BinaryAMClassifier):
 
         This is the exact bit pattern an IMC implementation would drive onto
         the AM array's rows, so both the software model and the functional
-        IMC simulator consume it.
+        IMC simulator consume it.  Returned as ``int8``; bit for bit
+        ``to_binary(encoder.encode(features))``.
         """
-        encoded = self.encoder.encode(features)
-        return to_binary(encoded)
+        return self.encoder.encode_binary(features)
 
     def projection_matrix_binary(self) -> np.ndarray:
         """The encoder's projection matrix as mapped into the IMC array."""

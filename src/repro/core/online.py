@@ -27,9 +27,11 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.model import MEMHDModel
+from repro.core.training import quantization_aware_step
 from repro.eval.metrics import accuracy
 from repro.hdc.clustering import dot_kmeans
 from repro.hdc.hypervector import _as_generator
+from repro.hdc.packed import pack_binary
 
 
 class OnlineMEMHD:
@@ -98,31 +100,22 @@ class OnlineMEMHD:
                 "add_class() first for novel classes"
             )
 
-        queries = self.model.encode_binary(x).astype(np.float64)
-        before = accuracy(self.am.predict(queries), y)
-
-        scores = np.atleast_2d(self.am.scores(queries))
-        predicted_columns = np.argmax(scores, axis=1)
-        predicted_classes = self.am.column_classes[predicted_columns]
-        class_mask = self.am.column_classes[None, :] == y[:, None]
-        masked = np.where(class_mask, scores, -np.inf)
-        true_targets = np.argmax(masked, axis=1)
-        wrong = np.flatnonzero(predicted_classes != y)
-        if wrong.size:
-            self.am.apply_updates(
-                add_rows=true_targets[wrong],
-                add_vectors=queries[wrong],
-                subtract_rows=predicted_columns[wrong],
-                subtract_vectors=queries[wrong],
-                learning_rate=self.learning_rate,
-            )
+        queries = self.model.encode_binary(x)
+        packed = pack_binary(queries, validate=False)
+        scores = self.am.scores(packed, packed=True)
+        winners = np.argmax(scores, axis=1)
+        before = accuracy(self.am.column_classes[winners], y)
+        updates = quantization_aware_step(
+            self.am, queries, y, scores, winners, self.learning_rate
+        )
+        after = before
         if refresh:
             self.am.refresh_binary()
-        after = accuracy(self.am.predict(queries), y)
+            after = accuracy(self.am.predict(packed, packed=True), y)
         return {
             "batch_accuracy_before": before,
             "batch_accuracy_after": after,
-            "updates": int(wrong.size),
+            "updates": updates,
         }
 
     def add_class(

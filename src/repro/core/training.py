@@ -19,12 +19,30 @@ Each epoch proceeds in the four steps of the paper:
 
 Because every similarity inside one epoch is computed against the same
 binary memory, the per-sample loop vectorizes into batched numpy updates
-without changing the algorithm's semantics.
+without changing the algorithm's semantics.  Two more facts make the loop
+cheap while keeping it bit-identical to the per-sample description:
+
+* **One packed scoring pass per binary memory.**  The ``{0, 1}`` training
+  queries are packed once per :meth:`QuantizationAwareTrainer.train` call
+  and scored with the popcount engine, whose exact integer dot products
+  have the same argmaxes as the float path.  A score matrix is kept for as
+  long as its binary memory is deployed: the pass that measures an epoch's
+  training accuracy after a refresh is also the next epoch's Eq. (4)/(5)
+  input, and an epoch that does not refresh reuses it outright.  ``E``
+  epochs refreshing every epoch therefore cost ``E + 1`` passes.
+* **Grouped, ordered Eq. (6) updates.**
+  :meth:`~repro.core.associative_memory.MultiCentroidAM.apply_updates`
+  applies each touched row's updates as one reduction in ``np.add.at``'s
+  order, so the FP memory matches a sample-by-sample accumulation bit for
+  bit.
+
+:func:`quantization_aware_step` is steps 1--3 for one scored batch; the
+trainer's epochs and :meth:`repro.core.online.OnlineMEMHD.partial_fit` both
+run it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,16 +50,81 @@ import numpy as np
 from repro.baselines.base import TrainingHistory
 from repro.core.associative_memory import MultiCentroidAM
 from repro.eval.metrics import accuracy
+from repro.hdc.packed import PackedVectors, pack_binary
 
 
-@dataclass
-class EpochStats:
-    """Telemetry of a single quantization-aware training epoch."""
+def pack_encodings(encoded: np.ndarray, name: str = "encoded") -> PackedVectors:
+    """Bit-pack ``{0, 1}`` encodings, enforcing the binary-input contract.
 
-    epoch: int
-    mispredictions: int
-    train_accuracy: float
-    validation_accuracy: Optional[float] = None
+    Training and initialization score binary encoder output (the bits an
+    IMC array's rows are driven with); anything else -- bipolar or real
+    valued vectors -- would be silently scored as floats, so it raises a
+    :class:`ValueError` naming ``name`` instead.
+    """
+    if not ((encoded == 0) | (encoded == 1)).all():
+        raise ValueError(
+            f"{name} must hold binary {{0, 1}} hypervectors (the binary "
+            "encoder's output); got other values"
+        )
+    return pack_binary(encoded, validate=False)
+
+
+def quantization_aware_step(
+    am: MultiCentroidAM,
+    queries: np.ndarray,
+    labels: np.ndarray,
+    scores: np.ndarray,
+    winners: np.ndarray,
+    learning_rate: float,
+    order: Optional[np.ndarray] = None,
+) -> int:
+    """Steps 1--3 (Eqs. (4)--(6)) for a batch scored against ``am``.
+
+    Parameters
+    ----------
+    am:
+        The AM whose FP memory receives the updates (in place).
+    queries:
+        ``(n, D)`` ``{0, 1}`` query hypervectors.
+    labels:
+        ``(n,)`` true labels.
+    scores / winners:
+        ``(n, C)`` similarities of ``queries`` against ``am``'s current
+        binary memory and their row-wise argmax (the searched rows).
+    learning_rate:
+        Eq. (6) step ``alpha``.
+    order:
+        Optional permutation of ``range(n)`` giving the order in which the
+        mispredicted samples' updates accumulate.
+
+    Returns
+    -------
+    int
+        The number of mispredicted samples, i.e. updates applied.
+    """
+    wrong_mask = am.column_classes[winners] != labels
+    wrong = np.flatnonzero(wrong_mask) if order is None else order[wrong_mask[order]]
+    if wrong.size == 0:
+        return 0
+    # Eq. (5): the most similar row within each sample's true class, one
+    # class at a time (lowest row index on ties, like a masked argmax).
+    wrong_labels = labels[wrong]
+    true_targets = np.empty(wrong.size, dtype=np.int64)
+    for label in np.unique(wrong_labels):
+        picked = np.flatnonzero(wrong_labels == label)
+        own = am.columns_of_class(int(label))
+        best = np.argmax(scores[wrong[picked][:, None], own], axis=1)
+        true_targets[picked] = own[best]
+    # Eq. (6): reinforce it and push the wrongly winning row (Eq. (4)) away.
+    vectors = queries[wrong]
+    am.apply_updates(
+        add_rows=true_targets,
+        add_vectors=vectors,
+        subtract_rows=winners[wrong],
+        subtract_vectors=vectors,
+        learning_rate=learning_rate,
+    )
+    return int(wrong.size)
 
 
 class QuantizationAwareTrainer:
@@ -110,15 +193,17 @@ class QuantizationAwareTrainer:
         am:
             The multi-centroid AM to train (modified in place).
         encoded:
-            ``(n, D)`` binary encoded training hypervectors.
+            ``(n, D)`` binary ``{0, 1}`` encoded training hypervectors (any
+            dtype); other values raise :class:`ValueError`.
         labels:
             ``(n,)`` integer training labels.
         validation:
-            Optional ``(encoded, labels)`` pair evaluated after every epoch.
+            Optional ``(encoded, labels)`` pair evaluated after every epoch
+            (same ``{0, 1}`` contract).
         rng:
             Generator used only for the optional per-epoch shuffling.
         """
-        queries = np.asarray(encoded, dtype=np.float64)
+        queries = np.asarray(encoded)
         y = np.asarray(labels, dtype=np.int64)
         if queries.ndim != 2:
             raise ValueError("encoded must be a 2-D array")
@@ -129,13 +214,18 @@ class QuantizationAwareTrainer:
                 f"encoded dimension {queries.shape[1]} does not match the AM "
                 f"dimension {am.dimension}"
             )
+        packed = pack_encodings(queries)
+        val_packed = val_labels = None
+        if validation is not None:
+            val_packed = pack_encodings(np.asarray(validation[0]), "validation encoded")
+            val_labels = np.asarray(validation[1])
         generator = rng if rng is not None else np.random.default_rng()
 
+        # The scores of the deployed binary memory; rescored on refresh only.
+        scores = am.scores(packed, packed=True)
+        winners = np.argmax(scores, axis=1)
         history = TrainingHistory()
-        history.initial_accuracy = accuracy(am.predict(queries), y)
-
-        # Precompute the per-sample mask of "my true class's columns".
-        class_mask = am.column_classes[None, :] == y[:, None]  # (n, C)
+        history.initial_accuracy = accuracy(am.column_classes[winners], y)
 
         best_accuracy = history.initial_accuracy
         best_binary = am.binary_memory.copy() if self.keep_best else None
@@ -146,19 +236,20 @@ class QuantizationAwareTrainer:
                 if self.shuffle
                 else np.arange(queries.shape[0])
             )
-            mispredictions = self._epoch(
-                am, queries, y, class_mask, order
+            mispredictions = quantization_aware_step(
+                am, queries, y, scores, winners, self.learning_rate, order
             )
             if epoch % self.binary_update_interval == 0:
                 am.refresh_binary()
+                scores = am.scores(packed, packed=True)
+                winners = np.argmax(scores, axis=1)
 
-            train_acc = accuracy(am.predict(queries), y)
+            train_acc = accuracy(am.column_classes[winners], y)
             history.updates.append(mispredictions)
             history.train_accuracy.append(train_acc)
-            if validation is not None:
-                val_queries, val_labels = validation
+            if val_packed is not None:
                 history.validation_accuracy.append(
-                    accuracy(am.predict(np.asarray(val_queries)), np.asarray(val_labels))
+                    accuracy(am.predict(val_packed, packed=True), val_labels)
                 )
 
             improved = train_acc > best_accuracy + 1e-12
@@ -189,38 +280,3 @@ class QuantizationAwareTrainer:
         if not history.train_accuracy:
             history.train_accuracy.append(history.initial_accuracy)
         return history
-
-    # ------------------------------------------------------------ internals
-    def _epoch(
-        self,
-        am: MultiCentroidAM,
-        queries: np.ndarray,
-        labels: np.ndarray,
-        class_mask: np.ndarray,
-        order: np.ndarray,
-    ) -> int:
-        """One epoch of steps 1--3; returns the number of mispredictions."""
-        scores = np.atleast_2d(am.scores(queries))  # (n, C)
-
-        # Step 1-2: winners and per-sample true-class targets.
-        predicted_columns = np.argmax(scores, axis=1)
-        predicted_classes = am.column_classes[predicted_columns]
-        masked_scores = np.where(class_mask, scores, -np.inf)
-        true_target_columns = np.argmax(masked_scores, axis=1)
-
-        wrong = np.flatnonzero(predicted_classes != labels)
-        if wrong.size == 0:
-            return 0
-        # The traversal order only changes the order of accumulation, which
-        # is associative; keep it for parity with the per-sample description.
-        wrong = order[np.isin(order, wrong)]
-
-        # Step 3: accumulate Eq. (6) on the FP memory.
-        am.apply_updates(
-            add_rows=true_target_columns[wrong],
-            add_vectors=queries[wrong],
-            subtract_rows=predicted_columns[wrong],
-            subtract_vectors=queries[wrong],
-            learning_rate=self.learning_rate,
-        )
-        return int(wrong.size)

@@ -10,6 +10,14 @@ For unit-norm (or equal-norm bipolar) vectors, maximizing dot similarity is
 equivalent to classical Euclidean K-means, but encoded hypervectors after
 bundling are not equal-norm in general, so the assignment step here uses the
 dot product directly.
+
+Seeding keeps a running closest-centroid similarity, the Lloyd update
+sums every cluster's members with one indicator-matrix product, and a
+converged run reuses its last similarities for the inertia.  Each of these
+is exact for integer-valued samples (every in-repo caller clusters
+``{0, 1}`` encodings), where all sums are exact integers whatever their
+order; real-valued samples agree with the per-cluster formulation to
+rounding.
 """
 
 from __future__ import annotations
@@ -66,16 +74,16 @@ def _init_centroids_kmeanspp(
     The first centroid is a uniformly random sample; each subsequent
     centroid is drawn with probability proportional to the sample's
     "dissimilarity gap" to the closest already-chosen centroid, which spreads
-    the initial centroids across the point cloud.
+    the initial centroids across the point cloud.  The closest-centroid
+    similarity is kept as a running maximum, so each step scores only the
+    newest centroid (``k`` similarity columns instead of ``~k^2 / 2``).
     """
     n = samples.shape[0]
     chosen = [int(rng.integers(0, n))]
+    best = np.full(n, -np.inf)
     for _ in range(1, k):
-        sims = dot_similarity(samples, samples[chosen])
-        sims = np.atleast_2d(sims)
-        if sims.shape[0] != n:
-            sims = sims.reshape(n, -1)
-        best = sims.max(axis=1)
+        newest = samples[chosen[-1] : chosen[-1] + 1]
+        np.maximum(best, dot_similarity(samples, newest)[:, 0], out=best)
         # Convert "most similar" into a non-negative dissimilarity weight.
         weights = best.max() - best
         total = float(weights.sum())
@@ -161,12 +169,18 @@ def dot_kmeans(
             converged = True
             break
         assignments = new_assignments
-        for cluster in range(num_clusters):
-            members = arr[assignments == cluster]
-            if members.size:
-                centroids[cluster] = members.mean(axis=0)
+        # Every cluster's member sum in one (k x n) indicator GEMM (exact
+        # for integer-valued samples); a cluster the re-seeding emptied
+        # keeps its centroid.
+        indicator = np.zeros((num_clusters, n))
+        indicator[assignments, np.arange(n)] = 1.0
+        sizes = np.bincount(assignments, minlength=num_clusters)
+        filled = sizes > 0
+        centroids[filled] = (indicator @ arr)[filled] / sizes[filled, None]
 
-    sims = dot_similarity(arr, centroids)
+    if not converged:
+        # The last Lloyd step moved the centroids after they were scored.
+        sims = dot_similarity(arr, centroids)
     inertia = -float(sims[np.arange(n), assignments].sum())
     return KMeansResult(centroids, assignments, inertia, iterations, converged)
 

@@ -268,11 +268,17 @@ class RandomProjectionEncoder(Encoder):
         return pack_binary(arr @ self.widened_projection() >= 0, validate=False)
 
     def encode_binary(self, features: np.ndarray) -> np.ndarray:
-        """Encode and return the ``{0, 1}`` representation of the result."""
-        encoded = self.encode(features)
+        """Encode straight to the ``{0, 1}`` (``int8``) hypervectors.
+
+        ``M^T F >= 0`` as ``int8``: the predicate :meth:`encode_packed`
+        packs, so it equals ``to_binary(encode(features))`` bit for bit
+        (ties to 1, NaN to 0) without the bipolar intermediate.
+        """
         if not self.quantize_output:
             raise ValueError("encode_binary requires quantize_output=True")
-        return to_binary(encoded)
+        arr, squeeze = self._validate(features)
+        encoded = (arr @ self.widened_projection() >= 0).astype(np.int8)
+        return encoded[0] if squeeze else encoded
 
     def memory_bits(self) -> int:
         """Encoder storage: ``f * D`` cells (1 bit binary, 32 bits FP)."""

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.associative_memory import MultiCentroidAM
+from repro.hdc.packed import pack_binary, pack_bipolar
 
 
 def make_am(columns=8, dimension=16, num_classes=4, seed=0, **kwargs):
@@ -186,6 +189,103 @@ class TestUpdatesAndRefresh:
         # ones under the global-mean threshold; z-scoring keeps it balanced.
         assert none_am.binary_memory[0].mean() > zscore_am.binary_memory[0].mean()
         assert 0.3 < zscore_am.binary_memory[0].mean() < 0.7
+
+
+#: Finite floats spanning many magnitudes, so a changed summation order
+#: shows up as a changed last bit.
+_update_values = st.floats(
+    min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False, width=64
+)
+
+
+@st.composite
+def _update_batches(draw):
+    """An FP memory plus add/subtract batches with repeated rows."""
+    columns = draw(st.integers(1, 5))
+    dimension = draw(st.sampled_from([1, 2, 3, 8]))
+    memory = draw(hnp.arrays(np.float64, (columns, dimension), elements=_update_values))
+    batches = []
+    for _ in range(2):
+        count = draw(st.integers(0, 12))
+        rows = draw(
+            hnp.arrays(np.int64, (count,), elements=st.integers(0, columns - 1))
+        )
+        vectors = draw(
+            hnp.arrays(np.float64, (count, dimension), elements=_update_values)
+        )
+        batches.append((rows, vectors))
+    rate = draw(st.floats(1e-3, 10.0, allow_nan=False))
+    return memory, batches, rate
+
+
+class TestGroupedUpdates:
+    """``apply_updates`` groups updates by row yet stays bit-identical to
+    ``np.add.at`` (additions in order, then subtractions in order)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_update_batches())
+    def test_bitwise_equal_to_add_at(self, case):
+        memory, ((add_rows, add_vectors), (sub_rows, sub_vectors)), rate = case
+        columns = memory.shape[0]
+        am = MultiCentroidAM(memory.copy(), np.zeros(columns, dtype=np.int64))
+        am.apply_updates(add_rows, add_vectors, sub_rows, sub_vectors, rate)
+        expected = memory.copy()
+        np.add.at(expected, add_rows, rate * add_vectors)
+        np.add.at(expected, sub_rows, -rate * sub_vectors)
+        np.testing.assert_array_equal(am.fp_memory, expected)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 5])
+    def test_long_runs_on_one_row_keep_sequential_order(self, dimension):
+        # Dozens of updates on one row: numpy's pairwise summation would
+        # round differently from np.add.at's left-to-right adds here.
+        gen = np.random.default_rng(dimension)
+        memory = gen.normal(size=(3, dimension)) * 1e8
+        rows = np.zeros(64, dtype=np.int64)
+        scales = 10.0 ** gen.integers(-6, 6, size=(64, 1))
+        vectors = gen.normal(size=(64, dimension)) * scales
+        am = MultiCentroidAM(memory.copy(), np.arange(3))
+        am.apply_updates(rows, vectors, rows[:10], vectors[:10], 0.1)
+        expected = memory.copy()
+        np.add.at(expected, rows, 0.1 * vectors)
+        np.add.at(expected, rows[:10], -0.1 * vectors[:10])
+        np.testing.assert_array_equal(am.fp_memory, expected)
+
+    def test_empty_updates_leave_memory_untouched(self):
+        am = make_am(seed=12)
+        before = am.fp_memory.copy()
+        no_rows, no_vectors = np.array([], dtype=int), np.zeros((0, 16))
+        am.apply_updates(no_rows, no_vectors, no_rows, no_vectors, 0.5)
+        np.testing.assert_array_equal(am.fp_memory, before)
+
+    def test_out_of_range_row_raises(self):
+        am = make_am()
+        with pytest.raises(IndexError):
+            am.apply_updates(
+                np.array([8]), np.ones((1, 16)), np.array([], dtype=int),
+                np.zeros((0, 16)), 0.1,
+            )
+
+
+class TestPackedQueries:
+    def test_packed_vectors_score_like_unpacked_queries(self):
+        am = make_am(seed=13)
+        queries = np.random.default_rng(13).integers(0, 2, size=(6, 16))
+        packed = pack_binary(queries)
+        np.testing.assert_array_equal(
+            am.scores(packed, packed=True), am.scores(queries)
+        )
+        np.testing.assert_array_equal(
+            am.predict(packed, packed=True), am.predict(queries)
+        )
+
+    def test_packed_vectors_need_packed_flag_and_binary_alphabet(self):
+        am = make_am(seed=14)
+        with pytest.raises(ValueError, match="packed=True"):
+            am.scores(pack_binary(np.ones((2, 16))))
+        with pytest.raises(ValueError, match="alphabet"):
+            am.scores(pack_bipolar(np.ones((2, 16))), packed=True)
+        with pytest.raises(ValueError, match="dimension"):
+            am.scores(pack_binary(np.ones((2, 15))), packed=True)
 
 
 class TestCopy:

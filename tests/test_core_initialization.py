@@ -133,6 +133,11 @@ class TestClusteringInitialization:
         with pytest.raises(ValueError):
             clustering_initialization(np.zeros(5), np.zeros(5), columns=4, num_classes=2)
 
+    def test_non_binary_encodings_raise(self, encoded_training_data):
+        encoded, labels = encoded_training_data
+        with pytest.raises(ValueError, match=r"binary \{0, 1\}"):
+            clustering_initialization(2 * encoded - 1, labels, columns=8, num_classes=4)
+
 
 class TestRandomSamplingInitialization:
     def test_shapes_and_full_utilization(self, encoded_training_data):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.base import TrainingHistory
 from repro.core.associative_memory import MultiCentroidAM
 from repro.core.initialization import clustering_initialization
 from repro.core.training import QuantizationAwareTrainer
@@ -50,6 +51,17 @@ class TestTrainerValidation:
         trainer = QuantizationAwareTrainer(epochs=1)
         with pytest.raises(ValueError):
             trainer.train(am, encoded[0], labels[:1])
+
+    @pytest.mark.parametrize("transform", [lambda e: 2 * e - 1, lambda e: 0.5 * e])
+    def test_non_binary_encodings_raise(self, am_and_data, transform):
+        am, encoded, labels = am_and_data
+        trainer = QuantizationAwareTrainer(epochs=1)
+        with pytest.raises(ValueError, match=r"binary \{0, 1\}"):
+            trainer.train(am, transform(encoded), labels)
+        with pytest.raises(ValueError, match=r"validation encoded must hold binary"):
+            trainer.train(
+                am, encoded, labels, validation=(transform(encoded[:5]), labels[:5])
+            )
 
 
 class TestTrainingDynamics:
@@ -204,3 +216,121 @@ class TestUpdateTargetSelection:
         assert np.allclose(am.fp_memory[3], fp_before[3] - query[0])   # Eq. (4)
         assert np.allclose(am.fp_memory[1], fp_before[1])
         assert np.allclose(am.fp_memory[2], fp_before[2])
+
+
+# ----------------------------------------------------- fast-path exactness
+def _reference_train(trainer, am, encoded, labels, validation, rng):
+    """The per-epoch trainer as first written: two float scoring passes per
+    epoch (targets, then accuracy) and ``np.add.at`` updates."""
+    queries = np.asarray(encoded, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    history = TrainingHistory()
+    history.initial_accuracy = accuracy(am.predict(queries), y)
+    class_mask = am.column_classes[None, :] == y[:, None]
+    best_accuracy = history.initial_accuracy
+    best_binary = am.binary_memory.copy() if trainer.keep_best else None
+    stale_epochs = 0
+    for epoch in range(1, trainer.epochs + 1):
+        order = rng.permutation(queries.shape[0])
+        scores = np.atleast_2d(am.scores(queries))
+        predicted = np.argmax(scores, axis=1)
+        targets = np.argmax(np.where(class_mask, scores, -np.inf), axis=1)
+        wrong = np.flatnonzero(am.column_classes[predicted] != y)
+        if wrong.size:
+            wrong = order[np.isin(order, wrong)]
+            rate = trainer.learning_rate
+            np.add.at(am.fp_memory, targets[wrong], rate * queries[wrong])
+            np.add.at(am.fp_memory, predicted[wrong], -rate * queries[wrong])
+        if epoch % trainer.binary_update_interval == 0:
+            am.refresh_binary()
+        train_acc = accuracy(am.predict(queries), y)
+        history.updates.append(int(wrong.size))
+        history.train_accuracy.append(train_acc)
+        if validation is not None:
+            history.validation_accuracy.append(
+                accuracy(am.predict(validation[0]), validation[1])
+            )
+        if train_acc > best_accuracy + 1e-12:
+            best_accuracy = train_acc
+            if trainer.keep_best:
+                best_binary = am.binary_memory.copy()
+            stale_epochs = 0
+        else:
+            stale_epochs += 1
+        if (
+            trainer.early_stop_patience is not None
+            and stale_epochs >= trainer.early_stop_patience
+        ):
+            break
+        if wrong.size == 0:
+            break
+    if trainer.keep_best:
+        am.binary_memory = best_binary
+    else:
+        am.refresh_binary()
+    return history
+
+
+class TestFastPathIsBitIdentical:
+    """Packed scoring once per binary memory plus grouped updates must
+    reproduce the reference trainer exactly: memories, history, all bits."""
+
+    @pytest.mark.parametrize("interval", [1, 2])
+    @pytest.mark.parametrize("keep_best", [True, False])
+    @pytest.mark.parametrize("with_validation", [True, False])
+    def test_matches_reference_trainer(
+        self, encoded_training_data, interval, keep_best, with_validation
+    ):
+        encoded, labels = encoded_training_data
+        init = clustering_initialization(
+            encoded, labels, columns=12, num_classes=4, cluster_ratio=0.5, rng=13
+        )
+        fast = MultiCentroidAM(
+            init.fp_memory.copy(), init.column_classes, num_classes=4
+        )
+        slow = fast.copy()
+        validation = (encoded[::3], labels[::3]) if with_validation else None
+        trainer = QuantizationAwareTrainer(
+            learning_rate=0.3,
+            epochs=7,
+            binary_update_interval=interval,
+            keep_best=keep_best,
+        )
+        got = trainer.train(
+            fast, encoded, labels, validation=validation, rng=np.random.default_rng(17)
+        )
+        want = _reference_train(
+            trainer, slow, encoded, labels, validation, np.random.default_rng(17)
+        )
+        assert sum(want.updates) > 0
+        np.testing.assert_array_equal(fast.fp_memory, slow.fp_memory)
+        np.testing.assert_array_equal(fast.binary_memory, slow.binary_memory)
+        assert got.updates == want.updates
+        assert got.train_accuracy == want.train_accuracy
+        assert got.validation_accuracy == want.validation_accuracy
+        assert got.initial_accuracy == want.initial_accuracy
+
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_one_scoring_pass_per_binary_memory(self, am_and_data, interval):
+        am, encoded, labels = am_and_data
+        calls = {"scores": 0, "refresh": 0}
+        scores, refresh = am.scores, am.refresh_binary
+
+        def counting_scores(*args, **kwargs):
+            calls["scores"] += 1
+            return scores(*args, **kwargs)
+
+        def counting_refresh():
+            calls["refresh"] += 1
+            refresh()
+
+        am.scores, am.refresh_binary = counting_scores, counting_refresh
+        trainer = QuantizationAwareTrainer(
+            learning_rate=0.5, epochs=30, binary_update_interval=interval
+        )
+        history = trainer.train(am, encoded, labels, rng=np.random.default_rng(0))
+        assert history.epochs == 30
+        assert calls["refresh"] == 30 // interval
+        # Initial pass plus one per refreshed memory (the parent trainer
+        # scored twice per epoch: 61 passes for 30 epochs).
+        assert calls["scores"] == 1 + calls["refresh"]

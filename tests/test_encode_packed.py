@@ -4,7 +4,8 @@
 into ``uint64`` words through the encoder's cached float64 widening of the
 projection.  It must equal ``pack_binary(to_binary(encode(x)))`` bit for
 bit on every input -- odd dimensions, single vectors, NaN/inf rows, exact
-zero projections, Gaussian and read-only projections -- and MEMHD's
+zero projections, Gaussian and read-only projections -- as must its
+unpacked twin ``encode_binary`` equal ``to_binary(encode(x))``; and MEMHD's
 packed/pruned engines, which it feeds, must keep answering exactly like
 the float engine.  The cache itself must never leak into checkpoints.
 """
@@ -41,6 +42,15 @@ def _assert_same_words(fused: PackedVectors, reference: PackedVectors) -> None:
     np.testing.assert_array_equal(fused.words, reference.words)
 
 
+def _assert_binary_matches(encoder: RandomProjectionEncoder, features) -> None:
+    """``encode_binary`` is the unpacked twin: ``to_binary(encode(x))``."""
+    binary = encoder.encode_binary(features)
+    reference = to_binary(encoder.encode(features))
+    assert binary.dtype == np.int8
+    assert binary.shape == reference.shape
+    np.testing.assert_array_equal(binary, reference)
+
+
 @st.composite
 def encoder_and_features(draw, elements=any_floats):
     """A projection encoder plus a 1-D or 2-D feature batch for it."""
@@ -67,6 +77,7 @@ class TestFusedEqualsUnfused:
         with np.errstate(invalid="ignore", over="ignore"):
             fused = encoder.encode_packed(features)
             reference = _reference(encoder, features)
+            _assert_binary_matches(encoder, features)
         _assert_same_words(fused, reference)
         assert len(fused) == (1 if features.ndim == 1 else features.shape[0])
 
@@ -77,6 +88,7 @@ class TestFusedEqualsUnfused:
         _assert_same_words(
             encoder.encode_packed(features), _reference(encoder, features)
         )
+        _assert_binary_matches(encoder, features)
 
     def test_zero_rows_and_nonfinite_rows(self):
         encoder = RandomProjectionEncoder(4, 70, rng=5)
@@ -91,6 +103,7 @@ class TestFusedEqualsUnfused:
         with np.errstate(invalid="ignore"):
             fused = encoder.encode_packed(features)
             reference = _reference(encoder, features)
+            _assert_binary_matches(encoder, features)
         _assert_same_words(fused, reference)
         bits = fused.unpack()
         assert bits[0].all()  # ties go up
@@ -132,6 +145,8 @@ class TestFusedEqualsUnfused:
         unquantized = RandomProjectionEncoder(3, 8, quantize_output=False, rng=0)
         with pytest.raises(ValueError, match="quantize_output"):
             unquantized.encode_packed(np.zeros(3))
+        with pytest.raises(ValueError, match="quantize_output"):
+            unquantized.encode_binary(np.zeros(3))
         with pytest.raises(ValueError, match="expected 3 features"):
             RandomProjectionEncoder(3, 8, rng=0).encode_packed(np.zeros(4))
 

@@ -142,3 +142,93 @@ class TestClasswiseClustering:
         b = classwise_clustering(samples, labels, 2, rng=99)
         for class_label in a:
             assert np.allclose(a[class_label].centroids, b[class_label].centroids)
+
+
+# ------------------------------------------------- fast-path exactness
+def _reference_seeding(samples, k, rng):
+    """k-means++ seeding that rescores every chosen centroid at each step."""
+    n = samples.shape[0]
+    chosen = [int(rng.integers(0, n))]
+    for _ in range(1, k):
+        best = (samples @ samples[chosen].T).max(axis=1)
+        weights = best.max() - best
+        total = float(weights.sum())
+        if total <= 0.0:
+            chosen.append(int(rng.integers(0, n)))
+        else:
+            chosen.append(int(rng.choice(n, p=weights / total)))
+    return samples[chosen].astype(np.float64).copy()
+
+
+def _reference_kmeans(samples, k, max_iterations, rng):
+    """Lloyd iterations with per-cluster masked means and a fresh inertia."""
+    n = samples.shape[0]
+    centroids = _reference_seeding(samples, k, rng)
+    assignments = np.full(n, -1, dtype=np.int64)
+    converged = False
+    for _ in range(max_iterations):
+        sims = samples @ centroids.T
+        new_assignments = np.argmax(sims, axis=1)
+        counts = np.bincount(new_assignments, minlength=k)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            best = sims[np.arange(n), new_assignments]
+            for cluster, sample in zip(empty, np.argsort(best)[: empty.size]):
+                new_assignments[sample] = cluster
+        if np.array_equal(new_assignments, assignments):
+            converged = True
+            break
+        assignments = new_assignments
+        for cluster in range(k):
+            members = samples[assignments == cluster]
+            if members.size:
+                centroids[cluster] = members.mean(axis=0)
+    sims = samples @ centroids.T
+    inertia = -float(sims[np.arange(n), assignments].sum())
+    return centroids, assignments, inertia, converged
+
+
+def _binary_samples(seed, n, dimension):
+    """{0, 1} samples around a few prototypes, like encoded hypervectors."""
+    gen = np.random.default_rng(seed)
+    prototypes = gen.integers(0, 2, size=(4, dimension))
+    flips = gen.random((n, dimension)) < 0.2
+    return (prototypes[gen.integers(0, 4, size=n)] ^ flips).astype(np.float64)
+
+
+class TestExactOnBinarySamples:
+    """Running-max seeding, indicator-GEMM sums and the reused inertia are
+    bit-identical to the per-cluster formulation on {0, 1} samples."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [2, 5, 17])
+    def test_seeding_matches_all_chosen_recompute(self, seed, k):
+        from repro.hdc.clustering import _init_centroids_kmeanspp
+
+        samples = _binary_samples(seed, 120, 37)
+        fast = _init_centroids_kmeanspp(samples, k, np.random.default_rng(seed))
+        reference = _reference_seeding(samples, k, np.random.default_rng(seed))
+        np.testing.assert_array_equal(fast, reference)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_iterations", [1, 3, 50])
+    def test_kmeans_matches_per_cluster_means(self, seed, max_iterations):
+        samples = _binary_samples(100 + seed, 150, 64)
+        result = dot_kmeans(samples, 7, max_iterations=max_iterations, rng=seed)
+        centroids, assignments, inertia, converged = _reference_kmeans(
+            samples, 7, max_iterations, np.random.default_rng(seed)
+        )
+        np.testing.assert_array_equal(result.centroids, centroids)
+        np.testing.assert_array_equal(result.assignments, assignments)
+        assert result.inertia == inertia
+        assert result.converged == converged
+
+    def test_real_valued_samples_agree_to_rounding(self):
+        samples, _ = _blobs(3, 25, 9, 4.0, 11)
+        result = dot_kmeans(samples, 3, rng=5)
+        centroids, assignments, inertia, _ = _reference_kmeans(
+            samples, 3, 50, np.random.default_rng(5)
+        )
+        np.testing.assert_allclose(result.centroids, centroids, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(result.assignments, assignments)
+        assert result.inertia == pytest.approx(inertia, rel=1e-12)

@@ -112,7 +112,10 @@ class TestCompileFailureFallback:
         # With CC pointing nowhere the build must fail quietly and every
         # kernel call must keep working through the numpy reference.  (The
         # compile cache is content-addressed by compiler path, so the
-        # broken compiler cannot hit a previously built library.)
+        # broken compiler cannot hit a previously built library.)  A pinned
+        # REPRO_PACKED_BACKEND=native (the CI kernel matrix) would turn the
+        # fallback into an error, so the test runs with the default.
+        monkeypatch.delenv("REPRO_PACKED_BACKEND", raising=False)
         monkeypatch.setenv("CC", "/nonexistent/compiler")
         kernels.reset_native_cache()
         try:

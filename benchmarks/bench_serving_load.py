@@ -53,6 +53,7 @@ from repro.data.synthetic import SyntheticSpec, make_synthetic_dataset
 from repro.eval.reporting import format_table
 from repro.hdc.packed import kernel_backend
 from repro.io.registry import ArtifactRegistry
+from repro.runtime.config import ServeConfig
 from repro.runtime.loadtest import fetch_server_stats, run_load
 from repro.runtime.server import ModelServer
 from repro.runtime.workers import WorkerConfig, WorkerSupervisor, fork_available
@@ -225,12 +226,13 @@ def test_prefork_worker_scaling(smoke, tmp_path):
     config = WorkerConfig(
         models=("bench-serve:v1",),
         store=str(store.root),
-        engine="packed",
-        batching=True,
-        max_batch_size=MAX_BATCH,
-        max_wait_ms=MAX_WAIT_MS,
-        queue_depth=QUEUE_DEPTH,
-        mapped=True,
+        serve=ServeConfig(
+            engine="packed",
+            batching=True,
+            max_batch_size=MAX_BATCH,
+            max_wait_ms=MAX_WAIT_MS,
+            queue_depth=QUEUE_DEPTH,
+        ),
     )
 
     reports = {}

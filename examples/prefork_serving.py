@@ -36,7 +36,13 @@ import urllib.request
 
 from repro import MEMHDConfig, MEMHDModel, load_dataset
 from repro.io import ArtifactRegistry
-from repro.runtime import WorkerConfig, WorkerSupervisor, fork_available, run_load
+from repro.runtime import (
+    ServeConfig,
+    WorkerConfig,
+    WorkerSupervisor,
+    fork_available,
+    run_load,
+)
 
 
 def get(url: str) -> dict:
@@ -90,13 +96,11 @@ with tempfile.TemporaryDirectory() as store_dir:
     # `inherit` socket mode keeps the accept queue in the parent, so the
     # respawn below never drops a connection.
     config = WorkerConfig(
-        models=("demo:v1",),
-        store=store_dir,
-        engine="packed",
-        mapped=True,
-        drain_timeout=10.0,
+        models=("demo:v1",), store=store_dir, serve=ServeConfig(engine="packed")
     )
-    with WorkerSupervisor(config, workers=2, socket_mode="inherit") as supervisor:
+    with WorkerSupervisor(
+        config, workers=2, socket_mode="inherit", drain_timeout=10.0
+    ) as supervisor:
         print(
             f"serving demo:v1 on {supervisor.url} with "
             f"{supervisor.alive_count()} workers ({supervisor.socket_mode})"

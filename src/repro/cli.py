@@ -67,6 +67,7 @@ provides, and ``--seed`` for reproducibility.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
@@ -95,6 +96,7 @@ from repro.eval.sweep import (
     spec_records,
     train_record_model,
 )
+from repro.hdc.engine import ENGINES
 from repro.hdc.packed import kernel_backend
 from repro.imc.analysis import full_mapping_report, improvement_factors, table2_rows
 from repro.imc.array import IMCArrayConfig
@@ -107,6 +109,7 @@ from repro.io.checkpoint import (
     save_checkpoint,
 )
 from repro.io.registry import ArtifactRegistry, RegistryError
+from repro.runtime.config import ServeConfig
 from repro.runtime.loadtest import fetch_server_stats, run_load
 from repro.runtime.online import OnlineConfig
 from repro.runtime.pipeline import throughput_comparison
@@ -289,32 +292,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8000,
         help="bind port (0 picks an ephemeral port)",
     )
+    # Every serving default comes from ServeConfig; the CLI only departs
+    # from it on purpose for --engine (the fast path, not the reference).
     serve.add_argument(
-        "--engine", default="packed", choices=("float", "packed", "pruned"),
+        "--engine", default="packed", choices=ENGINES,
         help="similarity engine used for every request (packed = bit-packed "
-        "kernels, the fast path; pruned = centroid-pruned shortlist search "
-        "on top of them, bit-identical; float = dense reference)",
+        "kernels, the fast path and the CLI default; pruned = "
+        "centroid-pruned shortlist search on top of them, bit-identical; "
+        "float = dense reference, the library default)",
     )
     serve.add_argument(
-        "--prune-topk", type=int, default=None, metavar="K",
+        "--prune-topk", type=int, default=ServeConfig.prune_topk, metavar="K",
         help="shortlist width of the pruned engine (default: "
         "ceil(sqrt(classes)) heuristic; only with --engine pruned)",
-    )
-    serve.add_argument(
-        "--batch-size", type=int, default=1024,
-        help="pipeline chunk size (query rows per chunk; default 1024)",
     )
     serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="worker PROCESS count (prefork scale-out): N>1 forks N "
         "independent serving processes over one shared listening socket "
         "and memory-mapped checkpoints, with crash respawn, aggregated "
-        "/stats and fanned-out /reload; 1 (default) serves in-process",
-    )
-    serve.add_argument(
-        "--pipeline-threads", type=int, default=1, metavar="T",
-        help="thread-pool width for sharding pipeline chunks within one "
-        "micro-batch (per process; default 1)",
+        "/stats and fanned-out /reload; 1 (default) serves in-process "
+        "and loads checkpoints eagerly",
     )
     serve.add_argument(
         "--socket-mode", default="auto", choices=("auto", "reuseport", "inherit"),
@@ -324,39 +322,31 @@ def build_parser() -> argparse.ArgumentParser:
         "parent; 'auto' (default) picks reuseport where available "
         "(only meaningful with --workers > 1)",
     )
-    mapped_group = serve.add_mutually_exclusive_group()
-    mapped_group.add_argument(
-        "--mapped", dest="mapped", action="store_true", default=None,
-        help="memory-map registry checkpoints (zero-copy: workers share "
-        "one physical copy of the AM arrays via the OS page cache); "
-        "the default when --workers > 1",
-    )
-    mapped_group.add_argument(
-        "--no-mapped", dest="mapped", action="store_false",
-        help="load registry checkpoints eagerly into private memory "
-        "(the default for a single-process server)",
-    )
     serve.add_argument(
         "--drain-timeout", type=float, default=30.0, metavar="S",
         help="on SIGTERM / worker drain, wait up to this long for "
         "in-flight requests to finish before closing (default 30)",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=64, metavar="ROWS",
+        "--max-batch", dest="max_batch_size", type=int,
+        default=ServeConfig.max_batch_size, metavar="ROWS",
         help="micro-batch row bound: concurrent requests are coalesced "
-        "until this many rows are queued (default 64)",
+        "until this many rows are queued (default %(default)s)",
     )
     serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0, metavar="MS",
-        help="longest a request is held open for coalescing (default 2)",
+        "--max-wait-ms", type=float, default=ServeConfig.max_wait_ms,
+        metavar="MS",
+        help="longest a request is held open for coalescing "
+        "(default %(default)s)",
     )
     serve.add_argument(
-        "--queue-depth", type=int, default=128, metavar="N",
+        "--queue-depth", type=int, default=ServeConfig.queue_depth, metavar="N",
         help="per-model bound on queued requests; beyond it the server "
-        "sheds load with HTTP 429 + Retry-After (default 128)",
+        "sheds load with HTTP 429 + Retry-After (default %(default)s)",
     )
     serve.add_argument(
-        "--no-batching", action="store_true",
+        "--no-batching", dest="batching", action="store_false",
+        default=ServeConfig.batching,
         help="disable micro-batching: one direct pipeline call per "
         "request (the pre-v2 behaviour; the loadtest baseline)",
     )
@@ -1255,16 +1245,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return SWEEP_COMMANDS[args.sweep_command](args)
 
 
-def _batching_summary(args: argparse.Namespace) -> str:
-    """One-line micro-batching description for the serve banner."""
-    if args.no_batching:
-        return "batching disabled"
-    return (
-        f"batching max_batch={args.max_batch} max_wait={args.max_wait_ms}ms "
-        f"queue_depth={args.queue_depth}"
-    )
-
-
 def _on_sigterm(callback) -> None:
     """Install ``callback`` as the SIGTERM handler (main thread only).
 
@@ -1293,8 +1273,34 @@ def _online_config(args: argparse.Namespace) -> "OnlineConfig | None":
     )
 
 
+def _serve_banner(
+    args: argparse.Namespace, serve: ServeConfig, url: str, pool: str, online
+) -> None:
+    """The ``repro serve`` banner, identical for both serving modes."""
+    served = ", ".join(([args.load] if args.load else []) + list(args.models or ()))
+    backend = kernel_backend() if serve.engine in ("packed", "pruned") else "blas"
+    batching = (
+        f"batching max_batch={serve.max_batch_size} max_wait={serve.max_wait_ms}ms "
+        f"queue_depth={serve.queue_depth}"
+        if serve.batching
+        else "batching disabled"
+    )
+    print(
+        f"serving {served} on {url} [engine={serve.engine}, backend={backend}, "
+        f"workers={args.workers} ({pool}), {batching}"
+        f"{', online' if online is not None else ''}]"
+    )
+    print(
+        "endpoints: POST /predict, POST /models/<name>/predict, "
+        "POST /reload, "
+        + ("POST /feedback, " if online is not None else "")
+        + "GET /healthz, GET /stats, GET /stats/local, "
+        "GET /manifest, GET /models"
+    )
+
+
 def _serve_prefork(
-    args: argparse.Namespace, model, manifest, mapped: bool, online
+    args: argparse.Namespace, serve: ServeConfig, model, manifest, online
 ) -> int:
     """``repro serve --workers N`` (N > 1): run the prefork supervisor."""
     store = str(ArtifactRegistry(args.store).root) if args.models else None
@@ -1303,16 +1309,7 @@ def _serve_prefork(
         store=store,
         model=model,
         manifest=manifest,
-        engine=args.engine,
-        prune_topk=args.prune_topk,
-        chunk_size=args.batch_size,
-        pipeline_threads=args.pipeline_threads,
-        batching=not args.no_batching,
-        max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        queue_depth=args.queue_depth,
-        mapped=mapped,
-        drain_timeout=args.drain_timeout,
+        serve=serve,
         online=online,
     )
     try:
@@ -1329,21 +1326,7 @@ def _serve_prefork(
         # OSError covers bind failures: port in use, privileged port, ...
         print(f"error: {error}", file=sys.stderr)
         return 2
-    served = ", ".join(args.models or ()) or args.load
-    print(
-        f"serving {served} on {supervisor.url} [engine={args.engine}, backend="
-        f"{kernel_backend() if args.engine in ('packed', 'pruned') else 'blas'}, "
-        f"workers={args.workers} ({supervisor.socket_mode}), "
-        f"mapped={'on' if mapped else 'off'}, {_batching_summary(args)}"
-        f"{', online' if online is not None else ''}]"
-    )
-    print(
-        "endpoints: POST /predict, POST /models/<name>/predict, "
-        "POST /reload, "
-        + ("POST /feedback, " if online is not None else "")
-        + "GET /healthz, GET /stats, GET /stats/local, "
-        "GET /manifest, GET /models"
-    )
+    _serve_banner(args, serve, supervisor.url, supervisor.socket_mode, online)
     _on_sigterm(supervisor.request_shutdown)
     try:
         supervisor.wait()
@@ -1368,13 +1351,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
               "(promotions are versioned checkpoints)", file=sys.stderr)
         return 2
     try:
+        serve = ServeConfig(
+            **{f.name: getattr(args, f.name) for f in dataclasses.fields(ServeConfig)}
+        )
         online = _online_config(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    # Memory-mapped checkpoint loading defaults on exactly when several
-    # processes could share the pages; a lone server keeps the eager loader.
-    mapped = args.mapped if args.mapped is not None else args.workers > 1
     model = manifest = None
     if args.load:
         try:
@@ -1383,45 +1366,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     if args.workers > 1:
-        return _serve_prefork(args, model, manifest, mapped, online)
+        return _serve_prefork(args, serve, model, manifest, online)
     try:
         server = ModelServer(
             model,
-            engine=args.engine,
-            prune_topk=args.prune_topk,
-            chunk_size=args.batch_size,
-            workers=args.pipeline_threads,
             manifest=manifest,
             host=args.host,
             port=args.port,
             models=args.models,
             registry=ArtifactRegistry(args.store),
-            batching=not args.no_batching,
-            max_batch_size=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            queue_depth=args.queue_depth,
-            mapped=mapped,
             online=online,
+            **dataclasses.asdict(serve),
         )
     except (ValueError, CheckpointError, RegistryError, OSError) as error:
         # OSError covers bind failures: port in use, privileged port, ...
         print(f"error: {error}", file=sys.stderr)
         return 2
-    served = ", ".join(
-        f"{row['key']} ({row['artifact']})" for row in server.pool.describe()
-    )
-    print(
-        f"serving {served} on {server.url} [engine={args.engine}, backend="
-        f"{kernel_backend() if args.engine in ('packed', 'pruned') else 'blas'}, "
-        f"{_batching_summary(args)}"
-        f"{', online' if online is not None else ''}]"
-    )
-    print(
-        "endpoints: POST /predict, POST /models/<name>/predict, "
-        "POST /reload, "
-        + ("POST /feedback, " if online is not None else "")
-        + "GET /healthz, GET /stats, GET /manifest, GET /models"
-    )
+    _serve_banner(args, serve, server.url, "in-process", online)
     # SIGTERM drains like Ctrl-C: stop accepting, answer what's in flight.
     _on_sigterm(
         lambda: threading.Thread(target=server.shutdown, daemon=True).start()

@@ -129,10 +129,11 @@ class _serve:
         from repro.runtime.workers import fork_available
 
         if self.workers > 1 and fork_available():
+            from repro.runtime.config import ServeConfig
             from repro.runtime.workers import WorkerConfig, WorkerSupervisor
 
             self._supervisor = WorkerSupervisor(
-                WorkerConfig(model=self.model, engine=self.engine),
+                WorkerConfig(model=self.model, serve=ServeConfig(engine=self.engine)),
                 host="127.0.0.1",
                 port=0,
                 workers=self.workers,

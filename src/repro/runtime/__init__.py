@@ -4,9 +4,15 @@ The :mod:`repro.runtime` package turns the trained models of
 :mod:`repro.core` and :mod:`repro.baselines` into a deployable serving
 path, layered bottom-up:
 
+* :class:`ServeConfig` -- the one declaration (defaults and validation)
+  of how a serving run serves its models: engine, pruning and the
+  micro-batching bounds.  ``repro serve``, :class:`WorkerConfig`,
+  :class:`ModelServer`, :class:`ModelPool` and :class:`BatchScheduler`
+  all forward into it instead of restating its defaults;
 * :class:`InferencePipeline` -- chunks arbitrarily large query batches,
   keeps encoder/AM state warm, optionally shards chunks across a thread
-  pool, and reports throughput statistics;
+  pool (``repro predict``; serving runs the pipeline defaults), and
+  reports throughput statistics;
 * :class:`BatchScheduler` -- coalesces concurrent requests into
   micro-batches behind a bounded queue with deadline/backpressure
   admission control, fanning results back out through futures;
@@ -18,7 +24,8 @@ path, layered bottom-up:
   ``/healthz``, ``/stats``, ``/manifest``);
 * :class:`WorkerSupervisor` / :class:`WorkerConfig` -- the
   ``repro serve --workers N`` prefork scale-out layer: N worker processes
-  over one shared listening socket and memory-mapped checkpoints, with
+  over one shared listening socket and memory-mapped checkpoints (a
+  replica always loads mapped, a standalone server eagerly), with
   crash respawn, graceful drain, aggregated ``/stats`` and fanned-out
   ``/reload``;
 * :func:`run_load` / :class:`LoadReport` -- the ``repro loadtest``
@@ -30,6 +37,7 @@ deployment story of the roadmap -- and every layer preserves predictions
 bit-exactly.
 """
 
+from repro.runtime.config import ServeConfig
 from repro.runtime.loadtest import LoadReport, run_load
 from repro.runtime.pipeline import (
     InferencePipeline,
@@ -75,6 +83,7 @@ __all__ = [
     "SchedulerClosedError",
     "SchedulerError",
     "SchedulerStats",
+    "ServeConfig",
     "ServedModel",
     "ServerStats",
     "UnknownModelError",

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.runtime.config import ServeConfig
 from repro.runtime.pipeline import InferencePipeline
 from repro.runtime.scheduler import BatchScheduler
 
@@ -203,44 +204,25 @@ class ModelPool:
         :meth:`add_spec` and :meth:`reload`.  Pools built purely around
         in-process model objects work without one (reload then requires
         nothing, and attempting it raises :class:`PoolError`).
-    engine / chunk_size / workers / prune_topk:
-        Forwarded to every entry's :class:`InferencePipeline`.
-    batching:
-        When ``False`` entries get no scheduler and requests run directly
-        on the handler thread (the PR 2 behaviour; the serving benchmark's
-        baseline).
-    max_batch_size / max_wait_ms / queue_depth:
-        Forwarded to every entry's :class:`BatchScheduler`.
-    mapped:
-        When ``True``, registry specs are loaded through the zero-copy
-        :func:`repro.io.checkpoint.load_mapped` path so every worker
-        process serving the same checkpoint shares one physical copy of
-        its arrays (used by ``repro serve --workers N``).
+    **settings:
+        The :class:`~repro.runtime.config.ServeConfig` every entry is
+        built from (engine and pruning for its pipeline; ``batching`` and
+        the micro-batching bounds for its scheduler).  With
+        ``batching=False`` entries get no scheduler and requests run
+        directly on the handler thread.
+
+    Registry specs load eagerly unless :attr:`mapped` is set.
     """
 
-    def __init__(
-        self,
-        registry=None,
-        engine: str = "float",
-        chunk_size: int = 1024,
-        workers: int = 1,
-        batching: bool = True,
-        max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
-        queue_depth: int = 128,
-        mapped: bool = False,
-        prune_topk: Optional[int] = None,
-    ) -> None:
+    #: Load registry specs through the zero-copy
+    #: :func:`repro.io.checkpoint.load_mapped` path.  ``ModelServer`` sets
+    #: it on prefork replicas, so every worker process serving the same
+    #: checkpoint shares one physical copy of its arrays.
+    mapped = False
+
+    def __init__(self, registry=None, **settings) -> None:
         self.registry = registry
-        self.engine = engine
-        self.chunk_size = int(chunk_size)
-        self.workers = int(workers)
-        self.prune_topk = None if prune_topk is None else int(prune_topk)
-        self.batching = bool(batching)
-        self.max_batch_size = int(max_batch_size)
-        self.max_wait_ms = float(max_wait_ms)
-        self.queue_depth = int(queue_depth)
-        self.mapped = bool(mapped)
+        self.config = ServeConfig(**settings)
         self._lock = threading.Lock()
         # Serializes reload's get -> build -> install sequence; without
         # it two concurrent reloads of one key could both claim the same
@@ -260,22 +242,19 @@ class ModelPool:
         resolved_spec: Optional[str],
         version: int,
     ) -> ServedModel:
+        config = self.config
         pipeline = InferencePipeline(
-            model,
-            engine=self.engine,
-            chunk_size=self.chunk_size,
-            workers=self.workers,
-            prune_topk=self.prune_topk,
+            model, engine=config.engine, prune_topk=config.prune_topk
         )
         pipeline.warmup()
         scheduler = (
             BatchScheduler(
                 pipeline,
-                max_batch_size=self.max_batch_size,
-                max_wait_ms=self.max_wait_ms,
-                queue_depth=self.queue_depth,
+                max_batch_size=config.max_batch_size,
+                max_wait_ms=config.max_wait_ms,
+                queue_depth=config.queue_depth,
             )
-            if self.batching
+            if config.batching
             else None
         )
         return ServedModel(
@@ -427,6 +406,6 @@ class ModelPool:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ModelPool(models={self.keys()}, engine={self.engine!r}, "
-            f"batching={self.batching})"
+            f"ModelPool(models={self.keys()}, engine={self.config.engine!r}, "
+            f"batching={self.config.batching})"
         )

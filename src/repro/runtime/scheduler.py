@@ -48,18 +48,7 @@ from typing import Any, Deque, Dict, List, Optional
 
 import numpy as np
 
-#: Default micro-batch bound (rows), matched to the packed engine's sweet
-#: spot for small models; larger requests are dispatched alone and chunked
-#: by the pipeline.
-DEFAULT_MAX_BATCH_SIZE = 64
-
-#: Default coalescing window in milliseconds.  Small on purpose: the goal
-#: is to glue together requests that are *already* concurrent, not to add
-#: artificial latency to an idle server.
-DEFAULT_MAX_WAIT_MS = 2.0
-
-#: Default bound on queued (not yet dispatched) requests.
-DEFAULT_QUEUE_DEPTH = 128
+from repro.runtime.config import ServeConfig
 
 #: Retry-After fallback (seconds) before any batch has been timed.
 _DEFAULT_RETRY_AFTER_S = 1.0
@@ -193,21 +182,23 @@ class BatchScheduler:
     queue_depth:
         Bound on *queued* requests; :meth:`submit` beyond it raises
         :class:`QueueFullError`.
+
+    Defaults and validation are :class:`~repro.runtime.config.ServeConfig`'s.
     """
 
     def __init__(
         self,
         pipeline,
-        max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
+        max_batch_size: int = ServeConfig.max_batch_size,
+        max_wait_ms: float = ServeConfig.max_wait_ms,
+        queue_depth: int = ServeConfig.queue_depth,
     ) -> None:
-        if max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be non-negative, got {max_wait_ms}")
-        if queue_depth <= 0:
-            raise ValueError(f"queue_depth must be positive, got {queue_depth}")
+        # Validated where the settings are declared.
+        ServeConfig(
+            max_batch_size=max_batch_size,
+            max_wait_ms=max_wait_ms,
+            queue_depth=queue_depth,
+        )
         self.pipeline = pipeline
         self.max_batch_size = int(max_batch_size)
         self.max_wait_ms = float(max_wait_ms)

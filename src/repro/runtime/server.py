@@ -236,13 +236,25 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return parts[2], "/" + parts[3]
         return None, path
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+    def _counted(self, route) -> None:
+        """Run ``route`` as one in-flight request, response flush included.
+
+        ``handle_one_request`` flushes the buffered response only after
+        ``do_*`` returns.  Uncounted, that flush could still be pending
+        when :meth:`ModelServer.drain` sees the count reach zero and the
+        worker exits with the answer in its buffer.  A client that hung
+        up makes the flush raise; the ``finally`` still uncounts it.
+        """
         service = self._service
         service._request_started()
         try:
-            self._route_get(service)
+            route(service)
+            self.wfile.flush()
         finally:
             service._request_finished()
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._counted(self._route_get)
 
     def _route_get(self, service: "ModelServer") -> None:
         key, path = self._model_route(self.path)
@@ -301,12 +313,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         return payload
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        service = self._service
-        service._request_started()
-        try:
-            self._route_post(service)
-        finally:
-            service._request_finished()
+        self._counted(self._route_post)
 
     def _route_post(self, service: "ModelServer") -> None:
         key, path = self._model_route(self.path)
@@ -349,9 +356,6 @@ class ModelServer:
     ----------
     model:
         Optional fitted classifier hosted in-process (the PR 2 path).
-    engine / chunk_size / workers:
-        Per-model :class:`~repro.runtime.pipeline.InferencePipeline`
-        settings (``workers`` shards chunks *within* one micro-batch).
     manifest:
         Manifest for the in-process ``model`` (shown on ``/manifest``).
     host / port:
@@ -361,18 +365,8 @@ class ModelServer:
     registry:
         :class:`repro.io.registry.ArtifactRegistry` backing ``models`` and
         ``POST /reload``.
-    batching:
-        ``False`` restores the PR 2 behaviour (one direct pipeline call
-        per request, no queue) -- the serving benchmark's baseline.
-    max_batch_size / max_wait_ms / queue_depth:
-        Micro-batching and backpressure knobs, per model (see
-        :class:`~repro.runtime.scheduler.BatchScheduler`).
     model_key:
         Routing key for the in-process ``model`` (default ``"default"``).
-    mapped:
-        Load registry specs through the zero-copy
-        :func:`repro.io.checkpoint.load_mapped` path, so co-resident
-        worker processes share one physical copy of each model's arrays.
     listen_socket:
         Adopt an already-bound, already-listening socket instead of
         binding one (the prefork **inherited-FD** mode: the supervisor
@@ -383,8 +377,19 @@ class ModelServer:
         ``host:port`` and the kernel load-balance accepts between them
         (the prefork fast path on Linux/BSD).
     worker_id:
-        Identity stamped into ``/healthz`` and ``/stats/local`` payloads
-        when this server is one replica of a prefork pool.
+        Identity of this server as one replica of a prefork pool, stamped
+        into ``/healthz`` and ``/stats/local``.  A replica loads registry
+        specs through the zero-copy :func:`repro.io.checkpoint.load_mapped`
+        path, so co-resident workers share one physical copy of each
+        model's arrays; a standalone server loads them eagerly.
+    online:
+        :class:`~repro.runtime.online.OnlineConfig` enabling the
+        continual-learning loop (registry-backed models only).
+    **settings:
+        The :class:`~repro.runtime.config.ServeConfig` of every hosted
+        model: ``engine``, ``prune_topk``, ``batching`` and the
+        micro-batching bounds ``max_batch_size`` / ``max_wait_ms`` /
+        ``queue_depth``.
 
     The constructor fully warms every pipeline, so the first request pays
     no lazy-initialization cost.
@@ -393,25 +398,17 @@ class ModelServer:
     def __init__(
         self,
         model=None,
-        engine: str = "float",
-        chunk_size: int = 1024,
-        workers: int = 1,
         manifest=None,
         host: str = "127.0.0.1",
         port: int = 0,
         models: Optional[Sequence[str]] = None,
         registry=None,
-        batching: bool = True,
-        max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
-        queue_depth: int = 128,
         model_key: str = "default",
-        mapped: bool = False,
         listen_socket: Optional[socket.socket] = None,
         reuse_port: bool = False,
         worker_id: Optional[int] = None,
-        prune_topk: Optional[int] = None,
         online: Optional[OnlineConfig] = None,
+        **settings,
     ) -> None:
         if model is None and not models:
             raise ValueError("provide an in-process model and/or registry specs")
@@ -424,18 +421,8 @@ class ModelServer:
             )
         if listen_socket is not None and reuse_port:
             raise ValueError("listen_socket and reuse_port are mutually exclusive")
-        self.pool = ModelPool(
-            registry=registry,
-            engine=engine,
-            chunk_size=chunk_size,
-            workers=workers,
-            batching=batching,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            queue_depth=queue_depth,
-            mapped=mapped,
-            prune_topk=prune_topk,
-        )
+        self.pool = ModelPool(registry=registry, **settings)
+        self.pool.mapped = worker_id is not None
         if model is not None:
             self.pool.add_model(model_key, model, manifest=manifest)
         for spec in models or ():
@@ -662,7 +649,7 @@ class ModelServer:
             "model": getattr(entry.model, "name", type(entry.model).__name__),
             "engine": entry.pipeline.engine,
             "num_features": entry.num_features,
-            "batching": self.pool.batching,
+            "batching": self.pool.config.batching,
             "models": self.pool.describe(),
             "uptime_s": time.time() - self.stats.started_unix,
             **({"worker": int(self.worker_id)} if self.worker_id is not None else {}),
@@ -672,7 +659,7 @@ class ModelServer:
         """Payload of ``GET /stats/local``: this process's counters only."""
         payload = self.stats.as_dict()
         payload["queue_depth"] = self.pool.total_queue_size()
-        payload["batching"] = self.pool.batching
+        payload["batching"] = self.pool.config.batching
         payload["models"] = self.pool.stats_dict()
         payload["online"] = (
             self.online.stats()
@@ -912,5 +899,5 @@ class ModelServer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ModelServer(models={self.pool.keys()}, "
-            f"engine={self.pool.engine!r}, url={self.url!r})"
+            f"engine={self.pool.config.engine!r}, url={self.url!r})"
         )

@@ -47,7 +47,7 @@ cannot deadlock.
 Typical use (what ``repro serve --workers N`` runs)::
 
     config = WorkerConfig(models=("demo:v1",), store=store_dir,
-                          engine="packed")
+                          serve=ServeConfig(engine="packed"))
     with WorkerSupervisor(config, port=8000, workers=4) as supervisor:
         ... traffic against supervisor.url ...
 
@@ -69,6 +69,7 @@ import warnings
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.runtime.config import ServeConfig
 from repro.runtime.online import (
     FeedbackError,
     OnlineConfig,
@@ -120,23 +121,11 @@ class WorkerConfig:
     model / model_key / manifest:
         Alternative to specs: serve this in-process model object (the
         child inherits it copy-on-write through ``fork``).
-    engine:
-        Inference engine for every pipeline (``float`` / ``packed`` /
-        ``pruned``).
-    prune_topk:
-        Shortlist width of the pruned engine (``None`` = per-model
-        heuristic); only meaningful with ``engine="pruned"``.
-    chunk_size / pipeline_threads:
-        :class:`~repro.runtime.pipeline.InferencePipeline` settings
-        (``pipeline_threads`` shards chunks *within* one micro-batch; the
-        process-level parallelism comes from the worker count).
-    batching / max_batch_size / max_wait_ms / queue_depth:
-        Micro-batching and admission-control knobs, identical per worker.
-    mapped:
-        Load specs zero-copy via :func:`repro.io.checkpoint.load_mapped`
-        (default: on -- the point of prefork is sharing those pages).
-    drain_timeout:
-        How long a draining worker waits for in-flight requests.
+    serve:
+        The :class:`~repro.runtime.config.ServeConfig` every replica
+        serves with (engine, pruning, micro-batching).  Replicas always
+        load specs zero-copy via :func:`repro.io.checkpoint.load_mapped`:
+        sharing those pages is the point of prefork.
     online:
         :class:`~repro.runtime.online.OnlineConfig` enabling the
         continual-learning loop.  The **supervisor** owns the single
@@ -152,16 +141,7 @@ class WorkerConfig:
     model: Any = None
     model_key: str = "default"
     manifest: Any = None
-    engine: str = "float"
-    prune_topk: Optional[int] = None
-    chunk_size: int = 1024
-    pipeline_threads: int = 1
-    batching: bool = True
-    max_batch_size: int = 64
-    max_wait_ms: float = 2.0
-    queue_depth: int = 128
-    mapped: bool = True
-    drain_timeout: float = 30.0
+    serve: ServeConfig = dataclasses.field(default_factory=ServeConfig)
     online: Optional[OnlineConfig] = None
 
 
@@ -284,6 +264,7 @@ def _worker_main(
     port: int,
     listen_socket,
     reuse_port: bool,
+    drain_timeout: float,
     control_conn,
     escalation_conn,
     close_on_start,
@@ -320,22 +301,14 @@ def _worker_main(
         model=config.model,
         models=list(config.models) or None,
         registry=registry,
-        engine=config.engine,
-        prune_topk=config.prune_topk,
-        chunk_size=config.chunk_size,
-        workers=config.pipeline_threads,
         manifest=config.manifest,
         host=host,
         port=port,
         listen_socket=listen_socket,
         reuse_port=reuse_port,
-        batching=config.batching,
-        max_batch_size=config.max_batch_size,
-        max_wait_ms=config.max_wait_ms,
-        queue_depth=config.queue_depth,
         model_key=config.model_key,
-        mapped=config.mapped,
         worker_id=worker_id,
+        **dataclasses.asdict(config.serve),
     )
     client = _SupervisorClient(escalation_conn)
     server.cluster = client
@@ -357,7 +330,7 @@ def _worker_main(
             drain_requested.set()
             stop.set()
     if drain_requested.is_set():
-        server.drain(config.drain_timeout)
+        server.drain(drain_timeout)
     else:
         server.shutdown()
 
@@ -416,8 +389,9 @@ class WorkerSupervisor:
     start_timeout:
         Seconds to wait in :meth:`start` for every worker to come up.
     drain_timeout:
-        Seconds :meth:`shutdown` waits for graceful worker exits before
-        escalating to SIGKILL.
+        Seconds a draining worker waits for its in-flight requests, and
+        :meth:`shutdown` (plus a 5 s grace) for graceful worker exits
+        before escalating to SIGKILL.
 
     The supervisor serves no HTTP itself; it owns the port, the worker
     lifecycle, the merged ``/stats`` view and the ``/reload`` fan-out.
@@ -583,6 +557,7 @@ class WorkerSupervisor:
                 self.port,
                 inherited,
                 self.socket_mode == "reuseport",
+                self.drain_timeout,
                 control_child,
                 escalation_child,
                 close_on_start,

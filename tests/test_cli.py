@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from repro.cli import _int_list, _is_checkpoint_path, build_parser, main
 from repro.io.checkpoint import load_checkpoint, read_manifest
 from repro.io.registry import ArtifactRegistry
+from repro.runtime.config import ServeConfig
 
 
 class TestParser:
@@ -78,10 +80,10 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8000
         assert args.engine == "packed"
-        assert args.max_batch == 64
+        assert args.max_batch_size == 64
         assert args.max_wait_ms == 2.0
         assert args.queue_depth == 128
-        assert not args.no_batching
+        assert args.batching
 
     def test_serve_multi_model_flags(self):
         args = build_parser().parse_args(
@@ -89,10 +91,54 @@ class TestParser:
              "--max-wait-ms", "1.5", "--queue-depth", "16", "--no-batching"]
         )
         assert args.models == ["a:latest", "b:v3"]
-        assert args.max_batch == 32
+        assert args.max_batch_size == 32
         assert args.max_wait_ms == 1.5
         assert args.queue_depth == 16
-        assert args.no_batching
+        assert not args.batching
+
+    def test_serve_defaults_are_serve_config_defaults(self):
+        """Every serving setting is declared once, in ServeConfig."""
+        args = build_parser().parse_args(["serve", "--load", "x"])
+        defaults = ServeConfig()
+        for field in dataclasses.fields(ServeConfig):
+            if field.name == "engine":
+                continue  # the one deliberate CLI departure, checked below
+            assert getattr(args, field.name) == getattr(defaults, field.name), (
+                field.name
+            )
+        assert (args.engine, defaults.engine) == ("packed", "float")
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--max-wait-ms", "inf", "max_wait_ms"),
+            ("--max-wait-ms", "nan", "max_wait_ms"),
+            ("--max-wait-ms", "-1", "max_wait_ms"),
+            ("--max-batch", "0", "max_batch_size"),
+            ("--queue-depth", "0", "queue_depth"),
+            ("--prune-topk", "0", "prune_topk"),
+        ],
+    )
+    def test_serve_rejects_bad_settings(self, flag, value, field, capsys):
+        # Rejected before any checkpoint is looked up.
+        assert main(["serve", "--load", "ghost", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--pipeline-threads", "2"],
+            ["--batch-size", "64"],
+            ["--mapped"],
+            ["--no-mapped"],
+        ],
+    )
+    def test_serve_no_longer_accepts_removed_knobs(self, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--load", "x", *flags])
+        assert excinfo.value.code == 2
 
     def test_serve_requires_load_or_models(self, capsys):
         # Parsing succeeds (either flag satisfies the requirement) but

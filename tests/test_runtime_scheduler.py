@@ -16,6 +16,7 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 
+from repro.runtime.config import ServeConfig
 from repro.runtime.pipeline import InferencePipeline
 from repro.runtime.scheduler import (
     BatchScheduler,
@@ -75,6 +76,37 @@ class TestValidation:
             BatchScheduler(pipeline, max_wait_ms=-1)
         with pytest.raises(ValueError):
             BatchScheduler(pipeline, queue_depth=0)
+        # An infinite window used to kill the dispatcher thread with an
+        # OverflowError, timing out every later request.
+        for wait_ms in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="max_wait_ms"):
+                BatchScheduler(pipeline, max_wait_ms=wait_ms)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"engine": "quantum"},
+            {"prune_topk": 0},
+            {"max_batch_size": 0},
+            {"max_batch_size": -4},
+            {"queue_depth": 0},
+            {"max_wait_ms": -1.0},
+            {"max_wait_ms": float("nan")},
+            {"max_wait_ms": float("inf")},
+            {"max_wait_ms": float("-inf")},
+        ],
+    )
+    def test_serve_config_rejects_bad_settings(self, settings):
+        (field,) = settings
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**settings)
+
+    def test_scheduler_defaults_are_serve_config_defaults(self):
+        with BatchScheduler(EchoPipeline()) as scheduler:
+            defaults = ServeConfig()
+            assert scheduler.max_batch_size == defaults.max_batch_size
+            assert scheduler.max_wait_ms == defaults.max_wait_ms
+            assert scheduler.queue_depth == defaults.queue_depth
 
     def test_rejects_bad_submissions(self):
         with BatchScheduler(EchoPipeline()) as scheduler:

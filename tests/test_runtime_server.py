@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.io.checkpoint import save_checkpoint, read_manifest
-from repro.runtime.server import ModelServer, ServerStats
+from repro.runtime.server import ModelServer, ServerStats, _RequestHandler
 
 
 def _get(url):
@@ -36,7 +37,6 @@ def server(trained_memhd, tmp_path_factory):
     daemon = ModelServer(
         model,
         engine="packed",
-        chunk_size=16,
         manifest=read_manifest(path),
         port=0,
     )
@@ -221,3 +221,68 @@ class TestLifecycle:
             assert result["count"] == 2
         finally:
             daemon.shutdown()
+
+
+class _HeldFlush:
+    """Response writer whose flush blocks until the test releases it."""
+
+    def __init__(self, inner, entered: threading.Event, release: threading.Event):
+        self._inner = inner
+        self._entered = entered
+        self._release = release
+
+    def write(self, data):
+        return self._inner.write(data)
+
+    def flush(self):
+        self._entered.set()
+        assert self._release.wait(timeout=30.0), "flush never released"
+        self._inner.flush()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestDrainAccounting:
+    def test_request_counted_until_response_flushed(
+        self, trained_memhd, tiny_dataset, monkeypatch
+    ):
+        """A response still in the handler's write buffer is in flight.
+
+        The handler buffers its response (``wbufsize = -1``).  If the
+        request left the in-flight count before that buffer was flushed,
+        ``drain`` could see the server idle and the worker exit with the
+        answer unsent.
+        """
+        model, _ = trained_memhd
+        entered, release = threading.Event(), threading.Event()
+        setup = _RequestHandler.setup
+
+        def held_setup(handler):
+            setup(handler)
+            handler.wfile = _HeldFlush(handler.wfile, entered, release)
+
+        monkeypatch.setattr(_RequestHandler, "setup", held_setup)
+        features = tiny_dataset.test_features[:3]
+        results = []
+        daemon = ModelServer(model, engine="packed", port=0).start()
+        client = threading.Thread(
+            target=lambda: results.append(
+                _post(daemon.url + "/predict", {"features": features.tolist()})
+            )
+        )
+        try:
+            client.start()
+            assert entered.wait(timeout=30.0), "response was never flushed"
+            assert daemon.wait_idle(0.2) is False
+            release.set()
+            client.join(timeout=30.0)
+            assert daemon.wait_idle(5.0) is True
+        finally:
+            release.set()
+            daemon.shutdown()
+        ((status, payload),) = results
+        assert status == 200
+        assert payload["labels"] == [
+            int(label) for label in model.predict(features, engine="packed")
+        ]

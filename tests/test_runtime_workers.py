@@ -19,6 +19,7 @@ module is skipped where the ``fork`` start method is unavailable.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -32,6 +33,8 @@ import pytest
 from repro.core.config import MEMHDConfig
 from repro.core.model import MEMHDModel
 from repro.io.registry import ArtifactRegistry
+from repro.runtime.config import ServeConfig
+from repro.runtime.server import ModelServer
 from repro.runtime.workers import (
     WorkerConfig,
     WorkerSupervisor,
@@ -101,17 +104,12 @@ def prefork_stack(tmp_path_factory, tiny_dataset):
     }
 
 
-def _config(stack, **overrides) -> WorkerConfig:
-    settings = dict(
+def _config(stack) -> WorkerConfig:
+    return WorkerConfig(
         models=("demo:v1",),
         store=str(stack["store"].root),
-        engine="packed",
-        mapped=True,
-        max_wait_ms=1.0,
-        drain_timeout=10.0,
+        serve=ServeConfig(engine="packed", max_wait_ms=1.0),
     )
-    settings.update(overrides)
-    return WorkerConfig(**settings)
 
 
 def _wait_until(predicate, timeout=30.0, interval=0.05):
@@ -127,7 +125,8 @@ class SlowModel:
     """Wraps a trained model, stretching each predict to ~`delay` seconds.
 
     Forked into the worker with the config, it makes "a request is in
-    flight right now" a state the drain test can reliably hit.
+    flight right now" a state the drain test can reliably hit: ``entered``
+    (a fork-inherited event) is set the moment a predict starts.
     """
 
     name = "slow"
@@ -136,8 +135,10 @@ class SlowModel:
         self._inner = inner
         self._delay = delay
         self.num_features = inner.num_features
+        self.entered = multiprocessing.get_context("fork").Event()
 
     def predict(self, features, engine="packed"):
+        self.entered.set()
         time.sleep(self._delay)
         return self._inner.predict(features, engine=engine)
 
@@ -173,39 +174,83 @@ class TestClusterServing:
             WorkerSupervisor(WorkerConfig(models=("demo:v1",)), workers=2)
 
 
+def _assert_sigterm_drains_inflight(tiny_dataset, socket_mode):
+    """SIGTERM mid-predict: the response lands, then the worker exits."""
+    model = SlowModel(_train(tiny_dataset, seed=1), delay=0.6)
+    probe = tiny_dataset.test_features[:4]
+    expected = [int(x) for x in model._inner.predict(probe, engine="packed")]
+    config = WorkerConfig(model=model, serve=ServeConfig(engine="packed"))
+    supervisor = WorkerSupervisor(
+        config,
+        workers=1,
+        socket_mode=socket_mode,
+        respawn=False,
+        drain_timeout=15.0,
+    )
+    try:
+        supervisor.start()
+        results = []
+
+        def _fire():
+            results.append(
+                _post_status(
+                    supervisor.url + "/predict", {"features": probe.tolist()}
+                )
+            )
+
+        client = threading.Thread(target=_fire)
+        client.start()
+        # Signal only once the request is inside the worker's predict.
+        assert model.entered.wait(30.0), "request never reached predict"
+        (pid,) = supervisor.worker_pids().values()
+        os.kill(pid, signal.SIGTERM)
+        client.join(timeout=30.0)
+        assert not client.is_alive(), "in-flight request never completed"
+        ((status, payload),) = results
+        assert status == 200, f"drained request failed: {payload}"
+        assert payload["labels"] == expected
+        assert _wait_until(lambda: supervisor.alive_count() == 0, timeout=20.0)
+    finally:
+        supervisor.shutdown(drain=False)
+
+
 class TestGracefulDrain:
     def test_sigterm_completes_inflight_request(self, tiny_dataset):
-        """SIGTERM mid-predict: the response lands, then the worker exits."""
-        model = SlowModel(_train(tiny_dataset, seed=1), delay=0.6)
-        probe = tiny_dataset.test_features[:4]
-        expected = [int(x) for x in model._inner.predict(probe, engine="packed")]
-        config = WorkerConfig(model=model, engine="packed", drain_timeout=15.0)
-        supervisor = WorkerSupervisor(config, workers=1, respawn=False)
-        try:
-            supervisor.start()
-            results = []
+        _assert_sigterm_drains_inflight(tiny_dataset, "inherit")
 
-            def _fire():
-                results.append(
-                    _post_status(
-                        supervisor.url + "/predict", {"features": probe.tolist()}
-                    )
-                )
+    @pytest.mark.skipif(
+        not reuseport_available(), reason="SO_REUSEPORT is unavailable"
+    )
+    def test_sigterm_completes_inflight_request_reuseport(self, tiny_dataset):
+        _assert_sigterm_drains_inflight(tiny_dataset, "reuseport")
 
-            client = threading.Thread(target=_fire)
-            client.start()
-            # Let the request reach the worker's predict before the signal.
-            time.sleep(0.25)
-            (pid,) = supervisor.worker_pids().values()
-            os.kill(pid, signal.SIGTERM)
-            client.join(timeout=30.0)
-            assert not client.is_alive(), "in-flight request never completed"
-            ((status, payload),) = results
-            assert status == 200, f"drained request failed: {payload}"
-            assert payload["labels"] == expected
-            assert _wait_until(lambda: supervisor.alive_count() == 0, timeout=20.0)
-        finally:
-            supervisor.shutdown(drain=False)
+
+class TestCheckpointLoading:
+    def test_replica_loads_mapped_standalone_server_eagerly(
+        self, tmp_path, tiny_dataset, monkeypatch
+    ):
+        """Whether specs load through ``load_mapped`` follows from being a
+        prefork replica; there is no knob for it."""
+        import repro.io.registry as registry_module
+
+        store = ArtifactRegistry(tmp_path)
+        store.save(_train(tiny_dataset, seed=1), "demo", tag="v1")
+        mapped_load = multiprocessing.get_context("fork").Event()
+        load_mapped = registry_module.load_mapped_with_manifest
+
+        def recording_load_mapped(*args, **kwargs):
+            mapped_load.set()  # fork-inherited: visible from a worker too
+            return load_mapped(*args, **kwargs)
+
+        monkeypatch.setattr(
+            registry_module, "load_mapped_with_manifest", recording_load_mapped
+        )
+        with ModelServer(models=["demo:v1"], registry=store, port=0):
+            pass
+        assert not mapped_load.is_set()
+        config = WorkerConfig(models=("demo:v1",), store=str(store.root))
+        with WorkerSupervisor(config, workers=1):
+            assert mapped_load.is_set()
 
 
 class TestCrashRespawn:

@@ -78,7 +78,6 @@ with tempfile.TemporaryDirectory() as store_dir:
         registry=registry,
         engine="packed",
         max_batch_size=64,
-        max_wait_ms=2.0,
         queue_depth=256,
         port=0,
     )

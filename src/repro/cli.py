@@ -113,7 +113,7 @@ from repro.runtime.config import ServeConfig
 from repro.runtime.loadtest import fetch_server_stats, run_load
 from repro.runtime.online import OnlineConfig
 from repro.runtime.pipeline import throughput_comparison
-from repro.runtime.server import ModelServer
+from repro.runtime.server import DRAIN_TIMEOUT_S, ModelServer
 from repro.runtime.workers import WorkerConfig, WorkerSupervisor
 
 
@@ -323,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(only meaningful with --workers > 1)",
     )
     serve.add_argument(
-        "--drain-timeout", type=float, default=30.0, metavar="S",
+        "--drain-timeout", type=float, default=DRAIN_TIMEOUT_S, metavar="S",
         help="on SIGTERM / worker drain, wait up to this long for "
-        "in-flight requests to finish before closing (default 30)",
+        "in-flight requests to finish before closing (default %(default)s)",
     )
     serve.add_argument(
         "--max-batch", dest="max_batch_size", type=int,
@@ -336,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-wait-ms", type=float, default=ServeConfig.max_wait_ms,
         metavar="MS",
-        help="longest a request is held open for coalescing "
-        "(default %(default)s)",
+        help="upper bound on holding a request open for stragglers "
+        "(default %(default)s: an idle request is dispatched at once)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=ServeConfig.queue_depth, metavar="N",

@@ -38,10 +38,15 @@ class ServeConfig:
         Micro-batch row bound.  Matched to the packed engine's sweet spot
         for small models; wider requests are dispatched alone.
     max_wait_ms:
-        Longest the dispatcher holds an admitted request open for
-        coalescing.  Small on purpose: the goal is to glue together
-        requests that are *already* concurrent, not to add latency to an
-        idle server.  ``0`` dispatches whatever is queued immediately.
+        Upper bound on how long the dispatcher holds an admitted request
+        open for coalescing.  The default ``0`` is adaptive batching: an
+        idle dispatcher takes whatever is queued and dispatches it at
+        once, so a lone request never waits for company, and under load
+        every request that arrived during one dispatch forms the next
+        batch.  Raise it only when requests arrive just too far apart to
+        overlap a dispatch (the ``/stats`` batch-size histogram stays
+        massed at 1 while throughput falls short) and wider batches are
+        worth the added latency.
     queue_depth:
         Bound on queued requests per model; beyond it admission fails
         with HTTP 429.
@@ -58,7 +63,7 @@ class ServeConfig:
     prune_topk: Optional[int] = None
     batching: bool = True
     max_batch_size: int = 64
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 0.0
     queue_depth: int = 128
 
     def __post_init__(self) -> None:

@@ -14,12 +14,22 @@ production inference servers:
 
 * callers :meth:`submit` a feature batch and get a
   :class:`concurrent.futures.Future` back immediately;
-* a single dispatcher thread pops the oldest request and keeps coalescing
-  queued requests into one micro-batch until it reaches ``max_batch_size``
-  rows or the oldest request has waited ``max_wait_ms``;
+* a single dispatcher thread pops the oldest request and glues every
+  request queued behind it into one micro-batch, up to ``max_batch_size``
+  rows;
 * the micro-batch runs through the warm
   :class:`repro.runtime.pipeline.InferencePipeline` **once**, and the label
   slices are fanned back out to the per-request futures.
+
+Batches size themselves from load (adaptive batching, as in Clipper,
+Crankshaw et al., NSDI 2017).  With the default ``max_wait_ms = 0`` an
+idle dispatcher serves a lone request at once, with no timed wait.
+Under load, requests pile up while each batch runs through the
+pipeline, and the next collection takes them all as one batch.  A
+positive ``max_wait_ms`` is an opt-in upper bound on how long the
+oldest request may additionally wait for stragglers: it trades latency
+for wider batches, and only pays when clients arrive just too far apart
+to overlap a dispatch.
 
 Admission control is explicit so the HTTP layer can map it to status
 codes:
@@ -99,9 +109,10 @@ class SchedulerStats:
     """Thread-safe counters for one scheduler (exposed on ``GET /stats``).
 
     Beyond raw counts, the **batch-size histogram** is the serving-quality
-    signal: a histogram massed at 1 means coalescing never happens (idle
-    server or window too short), mass at ``max_batch_size`` means the
-    scheduler saturates and the queue bound is doing the work.
+    signal: a histogram massed at 1 means no request arrived while another
+    batch was running (a lightly loaded server, where waiting would only
+    add latency), mass at ``max_batch_size`` means the scheduler saturates
+    and the queue bound is doing the work.
     """
 
     def __init__(self) -> None:
@@ -177,8 +188,10 @@ class BatchScheduler:
         alone (the pipeline chunks them internally); smaller requests are
         glued together while their combined rows fit.
     max_wait_ms:
-        Longest time the dispatcher holds an admitted request open for
-        coalescing.  ``0`` dispatches whatever is queued immediately.
+        Upper bound on how long the dispatcher holds the oldest admitted
+        request open for stragglers.  ``0`` (the default) dispatches
+        whatever is queued at once; batches then form only from requests
+        that queued while the previous batch ran.
     queue_depth:
         Bound on *queued* requests; :meth:`submit` beyond it raises
         :class:`QueueFullError`.
@@ -330,8 +343,11 @@ class BatchScheduler:
 
         The coalescing rule: admit the oldest request unconditionally,
         then keep appending queued requests while the combined row count
-        stays within ``max_batch_size``, waiting out the remainder of the
-        oldest request's ``max_wait_ms`` window for stragglers.
+        stays within ``max_batch_size``.  Whatever is queued arrived
+        while the previous batch ran, so no wait is needed to batch
+        under load.  Only a positive ``max_wait_ms`` makes the
+        dispatcher wait out the rest of the oldest request's window for
+        stragglers.
         """
         with self._not_empty:
             while not self._queue and not self._closed:

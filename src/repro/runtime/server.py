@@ -10,11 +10,13 @@ pieces:
   (``POST /models/<name>/predict``) or JSON ``model`` field, each
   hot-swappable via ``POST /reload`` with zero downtime and no torn
   responses;
-* :class:`repro.runtime.scheduler.BatchScheduler` -- concurrent requests
-  are coalesced into micro-batches (``max_batch_size`` rows or
-  ``max_wait_ms``, whichever first) and served by **one** pipeline call,
-  with results fanned back out per request.  Batching never changes
-  predictions (row-wise independence, pinned by the tests).
+* :class:`repro.runtime.scheduler.BatchScheduler` -- requests that queue
+  while a batch is running are coalesced into the next micro-batch (up
+  to ``max_batch_size`` rows) and served by **one** pipeline call, with
+  results fanned back out per request.  An idle server dispatches a lone
+  request at once; ``max_wait_ms > 0`` opts into holding it open for
+  stragglers.  Batching never changes predictions (row-wise
+  independence, pinned by the tests).
 
 Admission control maps scheduler failures to HTTP status codes:
 
@@ -117,6 +119,10 @@ MAX_REQUEST_BYTES = 256 * 1024 * 1024
 #: giving up with a 503; keeps a wedged dispatcher from hanging clients
 #: (and the test suite) forever.
 DISPATCH_TIMEOUT_S = 120.0
+
+#: How long a graceful drain waits for in-flight requests (``repro serve
+#: --drain-timeout``, :class:`~repro.runtime.workers.WorkerSupervisor`).
+DRAIN_TIMEOUT_S = 30.0
 
 
 class ServerStats(ModelStats):
@@ -389,7 +395,8 @@ class ModelServer:
         The :class:`~repro.runtime.config.ServeConfig` of every hosted
         model: ``engine``, ``prune_topk``, ``batching`` and the
         micro-batching bounds ``max_batch_size`` / ``max_wait_ms`` /
-        ``queue_depth``.
+        ``queue_depth``.  The default ``max_wait_ms = 0`` serves an idle
+        request at once and batches only what queued during a dispatch.
 
     The constructor fully warms every pipeline, so the first request pays
     no lazy-initialization cost.
@@ -604,7 +611,7 @@ class ModelServer:
             self._thread.join(timeout=5.0)
             self._thread = None
 
-    def drain(self, timeout: float = 30.0) -> bool:
+    def drain(self, timeout: float = DRAIN_TIMEOUT_S) -> bool:
         """Gracefully retire this server: finish everything, answer it all.
 
         The SIGTERM path of a prefork worker.  In order:

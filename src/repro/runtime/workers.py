@@ -76,7 +76,7 @@ from repro.runtime.online import (
     OnlineLearner,
     feedback_error_status,
 )
-from repro.runtime.server import ModelServer, ServerError
+from repro.runtime.server import DRAIN_TIMEOUT_S, ModelServer, ServerError
 
 #: Parent-side timeout for one worker's answer on its control channel.
 CONTROL_TIMEOUT_S = 30.0
@@ -406,7 +406,7 @@ class WorkerSupervisor:
         socket_mode: str = "auto",
         respawn: bool = True,
         start_timeout: float = 60.0,
-        drain_timeout: float = 30.0,
+        drain_timeout: float = DRAIN_TIMEOUT_S,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")

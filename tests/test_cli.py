@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -10,6 +11,8 @@ from repro.cli import _int_list, _is_checkpoint_path, build_parser, main
 from repro.io.checkpoint import load_checkpoint, read_manifest
 from repro.io.registry import ArtifactRegistry
 from repro.runtime.config import ServeConfig
+from repro.runtime.server import DRAIN_TIMEOUT_S, ModelServer
+from repro.runtime.workers import WorkerSupervisor
 
 
 class TestParser:
@@ -81,7 +84,7 @@ class TestParser:
         assert args.port == 8000
         assert args.engine == "packed"
         assert args.max_batch_size == 64
-        assert args.max_wait_ms == 2.0
+        assert args.max_wait_ms == 0.0
         assert args.queue_depth == 128
         assert args.batching
 
@@ -107,6 +110,12 @@ class TestParser:
                 field.name
             )
         assert (args.engine, defaults.engine) == ("packed", "float")
+        # --drain-timeout is not a ServeConfig field; its one declaration
+        # is the server's, shared by the supervisor and ModelServer.drain.
+        assert args.drain_timeout == DRAIN_TIMEOUT_S
+        supervisor = inspect.signature(WorkerSupervisor).parameters["drain_timeout"]
+        drain = inspect.signature(ModelServer.drain).parameters["timeout"]
+        assert supervisor.default == drain.default == DRAIN_TIMEOUT_S
 
     @pytest.mark.parametrize(
         "flag, value, field",

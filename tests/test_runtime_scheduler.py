@@ -9,6 +9,7 @@ abrupt shutdowns.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import wait
@@ -65,6 +66,46 @@ class FailingPipeline:
 
 def _request(value: int, rows: int, width: int = 4) -> np.ndarray:
     return np.full((rows, width), float(value))
+
+
+def _wait_until(condition, timeout: float = 10.0) -> None:
+    """Poll ``condition`` until it holds; fail after ``timeout`` seconds."""
+    give_up = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < give_up, "condition never held"
+        time.sleep(0.001)
+
+
+def _hammer(scheduler: BatchScheduler, pipeline: EchoPipeline) -> None:
+    """16 threads x 10 mixed-width requests: every row comes back exactly
+    once, to its own requester, and the dispatched rows add up."""
+    results = {}
+    errors = []
+
+    def client(worker: int) -> None:
+        try:
+            for step in range(10):
+                value = worker * 100 + step
+                rows = 1 + (value % 4)
+                labels = scheduler.predict(_request(value, rows), timeout=30.0)
+                results[value] = labels.tolist()
+        except Exception as error:  # pragma: no cover - fail loudly
+            errors.append(error)
+
+    threads = [threading.Thread(target=client, args=(w,)) for w in range(16)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    assert not errors
+    assert len(results) == 160
+    for value, labels in results.items():
+        assert labels == [value] * (1 + (value % 4))
+    # Conservation: dispatched rows == submitted rows (no dup/loss).
+    assert sum(pipeline.batch_rows) == sum(
+        1 + (w * 100 + s) % 4 for w in range(16) for s in range(10)
+    )
+    assert max(pipeline.batch_rows) <= scheduler.max_batch_size
 
 
 class TestValidation:
@@ -155,39 +196,77 @@ class TestCoalescing:
         assert 10 in pipeline.batch_rows
 
     def test_hammer_no_request_lost_or_duplicated(self):
-        """>=16 threads, mixed batch sizes: every row comes back exactly
-        once, to its own requester."""
+        """>=16 threads, mixed batch sizes, an opt-in 2 ms window."""
         pipeline = EchoPipeline()
-        results = {}
-        errors = []
         with BatchScheduler(pipeline, max_batch_size=32, max_wait_ms=2.0) as sched:
+            _hammer(sched, pipeline)
 
-            def client(worker: int) -> None:
-                try:
-                    for step in range(10):
-                        value = worker * 100 + step
-                        rows = 1 + (value % 4)
-                        labels = sched.predict(_request(value, rows), timeout=30.0)
-                        results[value] = labels.tolist()
-                except Exception as error:  # pragma: no cover - fail loudly
-                    errors.append(error)
 
-            threads = [
-                threading.Thread(target=client, args=(worker,))
-                for worker in range(16)
+class TestAdaptiveBatching:
+    """The default window is zero: an idle dispatcher serves a request at
+    once, and whatever queued while a batch ran forms the next batch."""
+
+    def test_serve_config_default_window_is_zero(self):
+        assert ServeConfig().max_wait_ms == 0.0
+
+    @pytest.mark.parametrize("queued", [1, 7, ServeConfig.max_batch_size])
+    def test_requests_queued_during_a_dispatch_form_the_next_batch(self, queued):
+        pipeline = GatedPipeline()
+        scheduler = BatchScheduler(pipeline)
+        try:
+            first = scheduler.submit(_request(0, 1))
+            # Dispatch 1 took the lone request without waiting for company.
+            assert pipeline.entered.wait(timeout=5.0)
+            futures = {}
+
+            def client(value: int) -> None:
+                futures[value] = scheduler.submit(_request(value, 1))
+
+            clients = [
+                threading.Thread(target=client, args=(value,))
+                for value in range(1, queued + 1)
             ]
-            for thread in threads:
+            for thread in clients:
                 thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        assert not errors
-        assert len(results) == 160
-        for value, labels in results.items():
-            assert labels == [value] * (1 + (value % 4))
-        # Conservation: dispatched rows == submitted rows (no dup/loss).
-        assert sum(pipeline.batch_rows) == sum(
-            1 + (w * 100 + s) % 4 for w in range(16) for s in range(10)
-        )
+            for thread in clients:
+                thread.join(timeout=10.0)
+            _wait_until(lambda: scheduler.queue_size() == queued)
+        finally:
+            pipeline.release.set()
+            scheduler.close()
+        assert pipeline.batch_rows == [1, queued]
+        assert first.result(timeout=5.0).tolist() == [0]
+        for value, future in futures.items():
+            assert future.result(timeout=5.0).tolist() == [value]
+
+    def test_backlog_wider_than_max_batch_splits_in_order(self):
+        pipeline = GatedPipeline()
+        scheduler = BatchScheduler(pipeline, max_batch_size=4)
+        try:
+            scheduler.submit(_request(0, 1))
+            assert pipeline.entered.wait(timeout=5.0)
+            futures = [scheduler.submit(_request(value, 1)) for value in range(1, 11)]
+            _wait_until(lambda: scheduler.queue_size() == 10)
+        finally:
+            pipeline.release.set()
+            scheduler.close()
+        assert pipeline.batch_rows == [1, 4, 4, 2]
+        assert [f.result(timeout=5.0).tolist() for f in futures] == [
+            [value] for value in range(1, 11)
+        ]
+
+    def test_hammer_default_window_conserves_rows(self):
+        """No timed wait to hide a lost wake-up: 16 threads on a short
+        interpreter switch interval must still conserve every row."""
+        pipeline = EchoPipeline()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BatchScheduler(pipeline) as sched:
+                assert sched.max_wait_ms == 0.0
+                _hammer(sched, pipeline)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBitExactness:
@@ -247,7 +326,10 @@ class TestAdmissionControl:
             blocker = scheduler.submit(_request(1, 1))
             assert pipeline.entered.wait(timeout=5.0)
             doomed = scheduler.submit(_request(2, 1), deadline_ms=20)
-            time.sleep(0.06)
+            # The deadline was stamped inside submit, so it has passed
+            # once 20 ms have passed since submit returned.
+            lapsed = time.monotonic() + 0.020
+            _wait_until(lambda: time.monotonic() > lapsed)
         finally:
             pipeline.release.set()
         with pytest.raises(DeadlineExceededError):

@@ -434,7 +434,15 @@ class TestErrorPaths:
 
             loser = threading.Thread(target=doomed)
             loser.start()
-            time.sleep(0.08)
+            # Release only once the doomed request is queued (its
+            # deadline is stamped at admission) and 25 ms have passed.
+            give_up = time.monotonic() + 10.0
+            while server.pool.total_queue_size() < 1:
+                assert time.monotonic() < give_up, "request never queued"
+                time.sleep(0.001)
+            lapsed = time.monotonic() + 0.025
+            while time.monotonic() <= lapsed:
+                time.sleep(0.001)
             gate.release.set()
             loser.join(timeout=30.0)
             blocker.join(timeout=30.0)

@@ -195,9 +195,10 @@ class BinaryAMClassifier(HDCClassifier):
 
         For the packed engine this packs the binary AM into ``uint64``
         words; for the pruned engine it additionally builds the per-class
-        centroid sketches.  A projection encoder's float64 widening is
-        built in every case, so the first served chunk pays no
-        lazy-initialization cost.
+        centroid sketches.  A projection encoder's widening (float32 for
+        the binary projection, with the exact-sign encode's bound
+        coefficients) is built in every case, so the first served chunk
+        pays no lazy-initialization cost.
         """
         self.engine.prepare(engine)
         if isinstance(self.encoder, RandomProjectionEncoder):

@@ -22,6 +22,12 @@ Two interchangeable backends compute the ``(n, m)`` pair matrix of
     sandboxed filesystem, exotic platform) silently falls back to the
     numpy backend.
 
+The same library carries the exact-sign encoder's ``sign_pack`` kernel
+(:class:`SignPacker`): one pass over a row of float32 projection sums
+that certifies each sign against an error bound, recomputes the
+uncertified ones in float64 and packs the sign and "still open" bits.
+Its numpy twin gives the same words and the same open bits.
+
 Environment knobs
 -----------------
 ``REPRO_PACKED_BACKEND``
@@ -52,7 +58,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +78,8 @@ _TIER_FLAGS = {
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
+#include <string.h>
+#include <math.h>
 #include <pthread.h>
 
 /* AM rows per tile: one tile of reference vectors stays hot in L1/L2
@@ -275,6 +283,96 @@ void sparse_scan(const uint64_t* q, const uint64_t* r,
     for (int t = 0; t < spawned; ++t)
         pthread_join(ids[t], NULL);
 }
+/* Certified sign packing for the exact-sign encoder.  Row i of the
+ * float64 features x has the float32 sums s (computed from float32(x)),
+ * and mt holds the +-1 projection column-major: column j at mt + j * f.
+ * With the row's norm ||x||_1 (in float64):
+ *   - a row whose norm is not below `limit` (or is NaN) is left open;
+ *   - an all-zero row sums to exactly 0: every bit is 1;
+ *   - otherwise an entry with |s| above rel32 * norm + abs32, rounded up
+ *     to float32, takes the sign of s (float32 tier); any other entry is
+ *     recomputed in float64 from its column and takes the sign of that
+ *     sum v when |v| > rel64 * norm + abs64 (float64 tier), or is open.
+ * `out` holds the n x nwords sign words, then the n x nwords open words;
+ * tail bits past d stay zero.  Returns the number of open entries.  Sums
+ * run in four interleaved partial sums, an order the numpy twin
+ * reproduces, and `volatile` keeps the bounds free of FMA contraction. */
+static double interleaved_sum(const double* a, const float* m, size_t f) {
+    double part[4] = {0.0, 0.0, 0.0, 0.0};
+    size_t k = 0;
+    if (m == NULL) {
+        for (; k + 4 <= f; k += 4)
+            for (int j = 0; j < 4; ++j)
+                part[j] += fabs(a[k + j]);
+        for (; k < f; ++k)
+            part[0] += fabs(a[k]);
+    } else { /* products with +-1 are exact, fused or not */
+        for (; k + 4 <= f; k += 4)
+            for (int j = 0; j < 4; ++j)
+                part[j] += a[k + j] * (double)m[k + j];
+        for (; k < f; ++k)
+            part[0] += a[k] * (double)m[k];
+    }
+    return (part[0] + part[1]) + (part[2] + part[3]);
+}
+
+static float bound_up(double bound) {
+    float hi = (float)bound;
+    if ((double)hi < bound) { /* step to the next float32 toward +inf */
+        uint32_t u;
+        memcpy(&u, &hi, sizeof u);
+        ++u;
+        memcpy(&hi, &u, sizeof hi);
+    }
+    return hi;
+}
+
+int64_t sign_pack(const double* x, const float* s, const float* mt,
+                  uint64_t* out, size_t n, size_t f, size_t d, size_t nwords,
+                  double rel32, double abs32, double rel64, double abs64,
+                  double limit) {
+    uint64_t* words = out;
+    uint64_t* open = out + n * nwords;
+    int64_t total = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const double* xi = x + i * f;
+        const float* si = s + i * d;
+        const double norm = interleaved_sum(xi, NULL, f);
+        volatile double scaled32 = norm * rel32, scaled64 = norm * rel64;
+        const float hi = bound_up(scaled32 + abs32), lo = -hi;
+        const double hi64 = scaled64 + abs64;
+        for (size_t w = 0; w < nwords; ++w) {
+            const float* sw = si + w * 64;
+            const size_t len = d - w * 64 < 64 ? d - w * 64 : 64;
+            const uint64_t mask = len < 64 ? ((uint64_t)1 << len) - 1 : ~(uint64_t)0;
+            uint64_t pos = 0, undecided = mask;
+            if (norm == 0.0) {
+                pos = mask;
+                undecided = 0;
+            } else if (norm < limit) {
+                uint64_t neg = 0;
+                for (size_t k = 0; k < len; ++k) {
+                    pos |= (uint64_t)(sw[k] > hi) << k;
+                    neg |= (uint64_t)(sw[k] < lo) << k;
+                }
+                undecided = ~(pos | neg) & mask;
+                for (uint64_t left = undecided; left; left &= left - 1) {
+                    const int k = __builtin_ctzll(left);
+                    const double v = interleaved_sum(xi, mt + (w * 64 + k) * f, f);
+                    const uint64_t bit = (uint64_t)1 << k;
+                    if (v > hi64)
+                        pos |= bit;
+                    if (v > hi64 || v < -hi64)
+                        undecided &= ~bit;
+                }
+            }
+            words[i * nwords + w] = pos;
+            open[i * nwords + w] = undecided;
+            total += __builtin_popcountll(undecided);
+        }
+    }
+    return total;
+}
 """
 
 #: ``op`` codes shared with the C kernels.
@@ -476,6 +574,9 @@ def _load_native() -> Optional[ctypes.CDLL]:
             ctypes.c_int,
         ]
         fn.restype = None
+        fn = lib.sign_pack
+        fn.argtypes = [ctypes.c_void_p] * 4 + [size_t] * 4 + [ctypes.c_double] * 5
+        fn.restype = ctypes.c_int64
         _build_info = info
         _native_lib = lib
     return _native_lib
@@ -604,3 +705,132 @@ def sparse_scan(
         op,
         resolved,
     )
+
+
+# ------------------------------------------------- exact-sign encode kernel
+#: Open entries the numpy twin recomputes per float64 gather.
+_GATHER_CHUNK = 256
+
+
+def _interleaved_sum(terms: np.ndarray) -> np.ndarray:
+    """Row sums of ``(m, f)`` float64 terms in the native kernel's order.
+
+    Four interleaved partial sums, the tail added into the first, then
+    ``(p0 + p1) + (p2 + p3)``; a reduction over a non-innermost axis adds
+    in index order, so numpy reproduces the C loop bit for bit.
+    """
+    m, f = terms.shape
+    head = f - f % 4
+    parts = np.add.reduce(terms[:, :head].reshape(m, head // 4, 4), axis=1)
+    for k in range(head, f):
+        parts[:, 0] += terms[:, k]
+    return (parts[:, 0] + parts[:, 1]) + (parts[:, 2] + parts[:, 3])
+
+
+def _float32_up(bound: np.ndarray) -> np.ndarray:
+    """Each non-negative float64 bound rounded up to the nearest float32."""
+    with np.errstate(over="ignore"):
+        hi = bound.astype(np.float32)
+    low = hi.astype(np.float64) < bound
+    hi[low] = np.nextafter(hi[low], np.float32(np.inf))
+    return hi
+
+
+def _numpy_sign_pack(features, values, columns, coefficients, limit):
+    from repro.hdc.packed import pack_binary  # packed imports this module
+
+    rel32, abs32, rel64, abs64 = coefficients
+    with np.errstate(over="ignore"):
+        norms = _interleaved_sum(np.abs(features))
+    fast = norms < limit  # False on NaN
+    zero = norms == 0
+    hi = _float32_up(norms * rel32 + abs32)[:, None]
+    positive = (values > hi) & fast[:, None]
+    undecided = ~(positive | (values < -hi)) | ~fast[:, None]
+    positive[zero] = True
+    undecided[zero] = False
+    rows, cols = np.nonzero(undecided & (fast & ~zero)[:, None])
+    for start in range(0, rows.shape[0], _GATHER_CHUNK):
+        r = rows[start : start + _GATHER_CHUNK]
+        c = cols[start : start + _GATHER_CHUNK]
+        sums = _interleaved_sum(features[r] * columns[c])
+        hi64 = norms[r] * rel64 + abs64
+        positive[r, c] = sums > hi64
+        undecided[r, c] = ~((sums > hi64) | (sums < -hi64))
+    count = int(np.count_nonzero(undecided))
+    words = pack_binary(positive, validate=False).words
+    return words, pack_binary(undecided, validate=False).words, count
+
+
+def _address(array: np.ndarray) -> int:
+    """Data pointer of a non-empty C-contiguous array, cheaply when writable."""
+    if array.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
+
+
+class SignPacker:
+    """Certified packed signs of ``features @ M`` for one ``±1`` projection.
+
+    ``columns`` is the ``(D, f)`` float32 matrix ``M^T`` (column ``d`` of
+    ``M`` contiguous), and ``coefficients = (rel32, abs32, rel64, abs64)``
+    size the two tiers' bounds.  The static operands are bound once, so a
+    call only pays for its own rows.  Calling the packer with ``(n, f)``
+    float64 ``features`` and the ``(n, D)`` float32 sums ``values =
+    float32(features) @ M`` certifies each entry from the row's float64
+    norm ``||x||_1``:
+
+    * a row whose norm is not below ``limit`` (or is NaN) is left open;
+    * an all-zero row sums to exactly 0: every bit is 1;
+    * otherwise an entry with ``|values|`` above ``rel32 * norm + abs32``,
+      rounded up to float32, takes the sign of ``values`` (float32 tier);
+      any other entry is recomputed in float64 from its column and takes
+      the sign of that sum ``v`` when ``|v| > rel64 * norm + abs64``
+      (float64 tier), or is left open.
+
+    The call returns ``(words, open, count)``: two ``(n, ceil(D / 64))``
+    uint64 arrays of sign bits and open bits (tail bits past ``D`` zero)
+    and the number of open bits.  The native kernel -- one pass over each
+    row of ``values``, with the float64 tier inline -- and the numpy twin
+    agree bit for bit.
+    """
+
+    def __init__(
+        self,
+        columns: np.ndarray,
+        coefficients: Tuple[float, float, float, float],
+        limit: float,
+    ) -> None:
+        self.columns = np.ascontiguousarray(columns, dtype=np.float32)
+        self.coefficients = tuple(float(c) for c in coefficients)
+        self.limit = float(limit)
+        self._columns_address = _address(self.columns) if self.columns.size else 0
+
+    def __call__(self, features: np.ndarray, values: np.ndarray):
+        features = np.ascontiguousarray(features, dtype=np.float64)
+        values = np.ascontiguousarray(values, dtype=np.float32)
+        (n, num_features), dimension = features.shape, values.shape[1]
+        if values.shape[0] != n or self.columns.shape != (dimension, num_features):
+            raise ValueError(
+                f"shape mismatch: features {features.shape}, values "
+                f"{values.shape}, columns {self.columns.shape}"
+            )
+        if n == 0 or num_features == 0 or backend_name() != "native":
+            return _numpy_sign_pack(
+                features, values, self.columns, self.coefficients, self.limit
+            )
+        nwords = (dimension + 63) // 64
+        out = np.empty((2, n, nwords), dtype=np.uint64)
+        count = _load_native().sign_pack(
+            _address(features),
+            _address(values),
+            self._columns_address,
+            _address(out),
+            n,
+            num_features,
+            dimension,
+            nwords,
+            *self.coefficients,
+            self.limit,
+        )
+        return out[0], out[1], int(count)

@@ -23,10 +23,14 @@ classifiers and the evaluation harness can treat them interchangeably.
 from __future__ import annotations
 
 import abc
+import functools
+import math
+from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from repro.hdc import _packed_kernels as _kernels
 from repro.hdc.hypervector import (
     _as_generator,
     bipolarize,
@@ -35,7 +39,7 @@ from repro.hdc.hypervector import (
     random_gaussian_hypervectors,
     to_binary,
 )
-from repro.hdc.packed import PackedVectors, pack_binary
+from repro.hdc.packed import BINARY_ALPHABET, PackedVectors, pack_binary
 
 
 class Encoder(abc.ABC):
@@ -224,61 +228,106 @@ class RandomProjectionEncoder(Encoder):
 
     @projection.setter
     def projection(self, value: np.ndarray) -> None:
-        # Assignment drops the float64 widening; in-place writes into the
-        # matrix are not tracked (assign a new matrix instead).
+        # Assignment drops the widening; in-place writes into the matrix
+        # are not tracked (assign a new matrix instead).
         self._projection = value
         self._widened = None
 
     def widened_projection(self) -> np.ndarray:
-        """The projection as float64, the operand of every encode GEMM.
+        """The projection as the operand of every encode GEMM.
 
-        Built on first use and cached until :attr:`projection` is assigned
-        (``f * D * 8`` bytes; never checkpointed).  The cache is keyed on
-        the matrix it was widened from, so a concurrent assignment can
-        never leave a stale widening behind.
+        float32 for a sign-quantizing binary encoder, exact for ``±1``
+        (``f * D * 4`` bytes, stored column-major); float64 otherwise
+        (``f * D * 8`` bytes, none when the matrix already is float64).
+        Built on first use and cached until :attr:`projection` is assigned;
+        never checkpointed.  The cache is keyed on the matrix it was widened
+        from, so a concurrent assignment can never leave a stale widening
+        behind.
+        """
+        return self._operands()[1]
+
+    def _operands(self) -> Tuple[np.ndarray, np.ndarray, Optional[_kernels.SignPacker]]:
+        """``(projection, widened, packer)``, built together and cached.
+
+        ``packer`` certifies the exact-sign encode; None unless the encoder
+        sign-quantizes a binary projection.
         """
         projection = self._projection
         cached = self._widened
         if cached is None or cached[0] is not projection:
-            cached = (projection, projection.astype(np.float64, copy=False))
+            if self.binary_projection and self.quantize_output:
+                if not (np.abs(projection) == 1).all():
+                    raise ValueError("a binary projection holds -1 and +1 entries only")
+                # Column-major, so the float64 tier reads a column contiguously.
+                widened = np.ascontiguousarray(projection.T, dtype=np.float32).T
+                packer = _kernels.SignPacker(
+                    widened.T, _bound_coefficients(self.num_features), _FAST_LIMIT
+                )
+            else:
+                widened, packer = projection.astype(np.float64, copy=False), None
+            cached = (projection, widened, packer)
             self._widened = cached
-        return cached[1]
+        return cached
+
+    def _sign_words(self, features: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """Packed sign bits of ``features`` and whether to squeeze the row.
+
+        The one routine behind :meth:`encode`, :meth:`encode_binary` and
+        :meth:`encode_packed`.  For the binary projection, bit ``d`` is the
+        sign of the exact real sum ``sum_i M_id * x_i`` (see
+        :func:`_exact_sign_words`); for a Gaussian projection it is the
+        sign of the float64 product.  Ties go to bit 1 and NaN to bit 0.
+        """
+        if not self.quantize_output:
+            raise ValueError("sign encoding requires quantize_output=True")
+        arr, squeeze = self._validate(features)
+        _, widened, packer = self._operands()
+        if packer is not None:
+            words = _exact_sign_words(arr, widened, packer)
+        else:
+            words = pack_binary(arr @ widened >= 0, validate=False).words
+        return words, squeeze
+
+    def _sign_bits(self, features: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """The ``{0, 1}`` (``int8``) bits of :meth:`_sign_words`, unpacked."""
+        words, squeeze = self._sign_words(features)
+        bits = np.unpackbits(
+            words.view(np.uint8), axis=1, count=self.dimension, bitorder="little"
+        ).view(np.int8)
+        return bits, squeeze
 
     def encode(self, features: np.ndarray) -> np.ndarray:
-        arr, squeeze = self._validate(features)
-        projected = arr @ self.widened_projection()
         if self.quantize_output:
-            encoded = bipolarize(projected)
+            bits, squeeze = self._sign_bits(features)
+            encoded = bits * np.int8(2) - np.int8(1)
         else:
-            encoded = projected.astype(np.float32)
+            arr, squeeze = self._validate(features)
+            encoded = (arr @ self.widened_projection()).astype(np.float32)
         return encoded[0] if squeeze else encoded
 
     def encode_packed(self, features: np.ndarray) -> PackedVectors:
         """Encode straight to bit-packed binary query words.
 
-        Packs ``M^T F >= 0`` -- the predicate :func:`bipolarize` applies
-        (ties go to bit 1, NaN to bit 0) -- so the result equals
+        The words hold the bits :meth:`encode` maps to ``+1`` (ties to bit
+        1, NaN to bit 0), so the result equals
         ``pack_binary(to_binary(encode(features)))`` bit for bit without
         materializing the bipolar or ``{0, 1}`` arrays.  A single ``(f,)``
         vector becomes a one-row batch, as with :func:`pack_binary`.
         """
-        if not self.quantize_output:
-            raise ValueError("encode_packed requires quantize_output=True")
-        arr, _ = self._validate(features)
-        return pack_binary(arr @ self.widened_projection() >= 0, validate=False)
+        words, _ = self._sign_words(features)
+        return PackedVectors(
+            words=words, dimension=self.dimension, alphabet=BINARY_ALPHABET
+        )
 
     def encode_binary(self, features: np.ndarray) -> np.ndarray:
         """Encode straight to the ``{0, 1}`` (``int8``) hypervectors.
 
-        ``M^T F >= 0`` as ``int8``: the predicate :meth:`encode_packed`
-        packs, so it equals ``to_binary(encode(features))`` bit for bit
-        (ties to 1, NaN to 0) without the bipolar intermediate.
+        The unpacked :meth:`encode_packed` bits, so it equals
+        ``to_binary(encode(features))`` bit for bit (ties to 1, NaN to 0)
+        without the bipolar intermediate.
         """
-        if not self.quantize_output:
-            raise ValueError("encode_binary requires quantize_output=True")
-        arr, squeeze = self._validate(features)
-        encoded = (arr @ self.widened_projection() >= 0).astype(np.int8)
-        return encoded[0] if squeeze else encoded
+        bits, squeeze = self._sign_bits(features)
+        return bits[0] if squeeze else bits
 
     def memory_bits(self) -> int:
         """Encoder storage: ``f * D`` cells (1 bit binary, 32 bits FP)."""
@@ -427,3 +476,157 @@ class IDLevelEncoder(Encoder):
     def memory_bits(self) -> int:
         """Encoder storage: ``(f + L) * D`` single-bit cells (Table I)."""
         return (self.num_features + self.num_levels) * self.dimension
+
+
+# --------------------------------------------------------- exact-sign encode
+#: Unit roundoff of float32 and of float64.
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+
+#: Rows with ``||x||_1`` at or past this skip both certified tiers.  Below
+#: it no float32 partial sum can overflow, for any ``f`` the tiers accept.
+_FAST_LIMIT = 2.0**100
+
+
+def _gamma(terms: int, unit: float) -> float:
+    """Higham's ``gamma_n = n*u / (1 - n*u)``; inf once ``n*u >= 1/2``."""
+    if terms * unit >= 0.5:
+        return math.inf
+    return terms * unit / (1.0 - terms * unit)
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_coefficients(num_features: int) -> Tuple[float, float, float, float]:
+    """``(rel32, abs32, rel64, abs64)``: each tier's bound is ``rel * ||x||_1 + abs``.
+
+    ``slack`` lifts the relative coefficients past the float64 arithmetic
+    that evaluates a bound: the computed ``||x||_1`` underestimates the
+    true norm by at most a factor ``1 - gamma_f`` (at float64, in any
+    summation order), and the roundings of the coefficient, product and
+    sum add at most ``2^-50``.
+    """
+    f = num_features
+    slack = 1.0 + 4.0 * f * _U64 + 2.0**-48
+    rel32 = (_gamma(f, _U32) * (1.0 + _U32) + _U32) * slack
+    rel64 = _gamma(f, _U64) * slack
+    return rel32, f * 2.0**-122, rel64, f * 2.0**-1019
+
+
+def _exact_sign_words(
+    features: np.ndarray, widened: np.ndarray, packer: _kernels.SignPacker
+) -> np.ndarray:
+    """Packed exact signs of ``features @ M`` for a ``±1`` projection ``M``.
+
+    Bit ``d`` of row ``r`` is ``[s >= 0]`` for the exact real sum
+    ``s = sum_i M_id * x_ri``; a NaN sum (a NaN entry, or ``+inf`` and
+    ``-inf`` terms together) gives bit 0.  The bits therefore depend on the
+    row alone: not on the batch it came in, the BLAS kernel or the machine.
+
+    **Float32 tier.**  ``s_hat = y @ widened`` with ``y = float32(x)`` and
+    ``M`` in float32.  With ``u = 2^-24``, rounding gives
+    ``|y_i - x_i| <= u*|x_i| + 2^-126`` (the absolute term covers
+    underflow, gradual or flushed) and ``||y||_1 <= (1 + u)*||x||_1 +
+    f * 2^-126``.  The products ``M_id * y_i`` are exact, and a length-``f``
+    sum in any order is within ``gamma_f * ||y||_1`` of its exact value,
+    ``gamma_f = f*u / (1 - f*u)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, sec. 3.1), plus at most ``2^-126`` per input or
+    partial sum a flush-to-zero BLAS drops, each grown by at most
+    ``1 + gamma_f``.  So::
+
+        |s_hat - s| <= (gamma_f*(1 + u) + u) * ||x||_1 + 6f * 2^-126
+                    <  beta = rel32 * ||x||_1 + f * 2^-122
+
+    and an entry with ``|s_hat| > beta`` has the sign of ``s_hat``.  The
+    float64 evaluation of ``beta`` is lifted by :func:`_bound_coefficients`'s
+    slack and rounded up to float32, so the comparison is exact.
+
+    **Float64 tier.**  An uncertified ("open") entry, about 0.1% of them,
+    is recomputed in float64 from its column of ``M``: the same argument
+    at ``u = 2^-53``, with exact float64 inputs, certifies it when its
+    magnitude exceeds ``rel64 * ||x||_1 + f * 2^-1019``.  Both tiers run in
+    one pass of :class:`~repro.hdc._packed_kernels.SignPacker`.  Rows with
+    ``||x||_1 >= 2^100``, where a float32 partial sum could overflow, and
+    rows with a NaN or infinite entry skip both tiers; an all-zero row is
+    a tie throughout.
+
+    **Exact tier** (:func:`_settle_open`) decides what is still open.
+
+    A finite entry beyond the float32 range makes numpy warn about the
+    cast, as a float64 overflow in the product did before; the bits are
+    exact all the same.
+    """
+    narrow = features.astype(np.float32)
+    words, undecided, count = packer(features, narrow @ widened)
+    if count:
+        _settle_open(features, widened.T, words, undecided)
+    return words
+
+
+def _settle_open(
+    features: np.ndarray,
+    columns: np.ndarray,
+    words: np.ndarray,
+    undecided: np.ndarray,
+) -> None:
+    """Decide every open entry exactly and set its bit in ``words`` in place.
+
+    ``columns`` is ``M^T``, ``(D, f)``.  Open entries come from rows the
+    certified tiers skipped and from sums too close to 0 for float64.
+    """
+    rows, cols = np.nonzero(
+        np.unpackbits(undecided.view(np.uint8), axis=1, bitorder="little")
+    )
+    bits = np.zeros(rows.shape[0], dtype=bool)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    for start, stop in zip(starts, np.append(starts[1:], rows.shape[0])):
+        bits[start:stop] = _settle_row(
+            features[rows[start]], columns[cols[start:stop]]
+        )
+    masks = (np.uint64(1) << (cols & 63).astype(np.uint64)) * bits
+    np.bitwise_or.at(words, (rows, cols >> 6), masks)
+
+
+def _settle_row(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Exact bits of one row against ``(k, f)`` columns of ``M``.
+
+    * A row with a NaN or infinite entry follows :func:`_nonfinite_signs`.
+    * A finite row is scaled by a power of two to ``max|x| in [0.5, 1)``,
+      so no float64 sum overflows and the signs are unchanged; underflow
+      in the scaling moves each entry by at most ``2^-1074``, inside the
+      float64 tier's absolute term.  Its sums are recomputed in float64
+      and certified as in that tier (a huge row is first seen here).
+    * The rest are exact sums of the exact products, by ``math.fsum``
+      (its correctly rounded result has the exact sign) or, on an
+      overflow inside ``fsum``, by :class:`fractions.Fraction`.
+    """
+    if not np.isfinite(row).all():
+        return _nonfinite_signs(row, columns)
+    _, _, rel64, abs64 = _bound_coefficients(row.shape[0])
+    scaled = np.ldexp(row, -np.frexp(np.abs(row).max())[1])
+    sums = columns @ scaled
+    bits = sums > 0
+    bound = np.abs(scaled).sum() * rel64 + abs64
+    for k in np.flatnonzero(~(np.abs(sums) > bound)):
+        bits[k] = _exact_sum_sign(row * columns[k])
+    return bits
+
+
+def _nonfinite_signs(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Bits of a row with a NaN or infinite entry against ``(k, f)`` columns.
+
+    Finite terms cannot change such a sum, so only the infinite ones count.
+    """
+    if np.isnan(row).any():
+        return np.zeros(columns.shape[0], dtype=bool)
+    infinite = np.isinf(row)
+    terms = columns[:, infinite] * np.sign(row[infinite])
+    return (terms > 0).any(axis=1) & ~(terms < 0).any(axis=1)
+
+
+def _exact_sum_sign(products: np.ndarray) -> bool:
+    """``[sum(products) >= 0]`` on the exact sum of finite float64 terms."""
+    try:
+        total = math.fsum(products)
+    except OverflowError:  # a partial sum overflowed
+        total = sum(map(Fraction, products.tolist()))
+    return total >= 0

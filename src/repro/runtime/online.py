@@ -201,8 +201,9 @@ def _clone_model(model: MEMHDModel) -> MEMHDModel:
     Arrays are materialized with ``np.array``, so the clone is safe to
     update in place even when the source is a read-only memory-mapped
     checkpoint view.  The encoder is shared, not copied: online learning
-    never trains the projection, and one encoder object means one float64
-    widening of it for the live and shadow models together.
+    never trains the projection, and one encoder object means one widening
+    of it (float32, ``f * D * 4`` bytes, for the binary projection) for
+    the live and shadow models together.
     """
     from repro.core.model import MEMHDModel
     from repro.io.checkpoint import _encoder_meta

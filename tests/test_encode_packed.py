@@ -1,8 +1,11 @@
 """Tests of the fused encode-to-packed-words path.
 
-``RandomProjectionEncoder.encode_packed`` packs ``M^T F >= 0`` straight
-into ``uint64`` words through the encoder's cached float64 widening of the
-projection.  It must equal ``pack_binary(to_binary(encode(x)))`` bit for
+``RandomProjectionEncoder.encode_packed`` packs the signs of ``M^T F``
+straight into ``uint64`` words.  For the binary projection they are the
+exact signs, certified from a float32 GEMM over the encoder's cached
+float32 widening (``tests/test_encode_exact.py`` holds them to exact
+arithmetic); for a Gaussian one they are the signs of the float64
+product.  It must equal ``pack_binary(to_binary(encode(x)))`` bit for
 bit on every input -- odd dimensions, single vectors, NaN/inf rows, exact
 zero projections, Gaussian and read-only projections -- as must its
 unpacked twin ``encode_binary`` equal ``to_binary(encode(x))``; and MEMHD's
@@ -155,7 +158,7 @@ class TestWidenedProjectionCache:
     def test_cached_between_calls(self):
         encoder = RandomProjectionEncoder(5, 40, rng=2)
         widened = encoder.widened_projection()
-        assert widened.dtype == np.float64
+        assert widened.dtype == np.float32
         np.testing.assert_array_equal(widened, encoder.projection)
         assert encoder.widened_projection() is widened
 

@@ -206,7 +206,7 @@ class TestConcurrentEncode:
     @pytest.mark.parametrize(
         "make, hook",
         [
-            (lambda: RandomProjectionEncoder(6, 40, rng=0), "widened_projection"),
+            (lambda: RandomProjectionEncoder(6, 40, rng=0), "_operands"),
             (lambda: IDLevelEncoder(6, 40, num_levels=4, rng=0), "quantize_values"),
         ],
         ids=["projection", "id-level"],

@@ -217,6 +217,7 @@ class TestConcurrencyStress:
         ).start()
         outcomes = []
         stop = threading.Event()
+        answered = threading.Event()
 
         def client() -> None:
             batch = tiny_dataset.test_features[:3].tolist()
@@ -226,6 +227,8 @@ class TestConcurrencyStress:
                         server.url + "/predict", {"features": batch}
                     )
                     outcomes.append((status, time.monotonic()))
+                    if status == 200:
+                        answered.set()
                 except (urllib.error.URLError, OSError, json.JSONDecodeError):
                     # Connection refused/reset after the listener stopped
                     # is fine; a hung request would fail the join below.
@@ -234,13 +237,15 @@ class TestConcurrencyStress:
         threads = [threading.Thread(target=client) for _ in range(8)]
         for thread in threads:
             thread.start()
-        time.sleep(0.3)
+        # Shut down under load, once the server has answered at least once.
+        first_answer = answered.wait(30.0)
         shutdown_started = time.monotonic()
         stop.set()
         server.shutdown()
         for thread in threads:
             thread.join(timeout=30.0)
             assert not thread.is_alive(), "a client hung across shutdown"
+        assert first_answer, "no request was answered before shutdown"
         assert outcomes
         # Every request gets a definite answer (never a hang, per the
         # joins above): 200 normally; a request racing the shutdown

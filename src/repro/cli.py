@@ -88,6 +88,7 @@ from repro.eval.reporting import (
 from repro.eval.store import ResultStore, StoreError
 from repro.eval.sweep import (
     MODEL_CHOICES,
+    SWEEP_ENGINES,
     SweepError,
     SweepSpec,
     best_record,
@@ -247,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_store_option(predict)
     predict.add_argument(
-        "--engine", default="packed",
-        choices=("float", "packed", "pruned", "both"),
+        "--engine", default="packed", choices=(*ENGINES, "both"),
         help="similarity engine ('pruned' = centroid-pruned shortlist "
         "search, bit-identical to the full scan; 'both' compares float "
         "vs packed)",
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--engines", type=_str_list, default=["float"],
-            help="similarity engines to time (float,packed,pruned)",
+            help=f"similarity engines to time ({','.join(SWEEP_ENGINES)})",
         )
         sub.add_argument(
             "--cluster-ratios", type=_float_list, default=[0.8],

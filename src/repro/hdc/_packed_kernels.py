@@ -16,7 +16,8 @@ Two interchangeable backends compute the ``(n, m)`` pair matrix of
     never materializes.  The build probes a ladder of compiler-flag tiers
     (``-march=native`` then ``-mavx2`` then portable ``-O3``), scores the
     AM in cache-blocked tiles so a reference tile stays resident across
-    query rows, and can partition query rows over POSIX threads.
+    query rows.  It runs on the calling thread: ctypes releases the GIL
+    for the call, so ``InferencePipeline(workers=)`` shards large batches.
     Compilation happens once per machine into a content-addressed cache
     directory under the system temp dir; any failure (no compiler,
     sandboxed filesystem, exotic platform) silently falls back to the
@@ -36,16 +37,13 @@ Environment knobs
     ``auto`` (default) probes ``native`` -> ``avx2`` -> ``portable`` in
     order; naming a tier pins it (falling back to numpy if that tier does
     not compile).
-``REPRO_PACKED_THREADS``
-    Worker threads for the native kernel: a positive integer, or ``auto``
-    / ``0`` for the CPU count.  Default 1.  Threads partition disjoint
-    query rows, so results are bit-identical at any thread count; the
-    numpy backend ignores this knob.
 
-The active backend can also be switched at runtime with
-:func:`set_backend` (used by the equivalence tests to compare backends),
-and :func:`reset_native_cache` drops the loaded library so a changed
-``CC`` / ``REPRO_PACKED_TIER`` is honoured by the next call.
+Both are read once per process, when the first kernel call resolves the
+backend and binds the native entry points; later calls read only that
+resolved state.  :func:`set_backend` pins a backend at runtime (the
+equivalence tests compare backends this way), and
+:func:`reset_native_cache` drops the resolved state so a changed
+environment or ``CC`` is honoured by the next call.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -80,21 +78,18 @@ _C_SOURCE = r"""
 #include <stddef.h>
 #include <string.h>
 #include <math.h>
-#include <pthread.h>
 
 /* AM rows per tile: one tile of reference vectors stays hot in L1/L2
- * while every query row of the chunk streams over it. */
+ * while every query row streams over it. */
 #define TILE_ROWS 16
-#define MAX_THREADS 64
 
 enum { OP_AND = 0, OP_XOR = 1 };
 
-static void score_rows(const uint64_t* q, const uint64_t* r, int64_t* out,
-                       size_t row_start, size_t row_stop, size_t m,
-                       size_t words, int op) {
+void pair_popcount(const uint64_t* q, const uint64_t* r, int64_t* out,
+                   size_t n, size_t m, size_t words, int op) {
     for (size_t j0 = 0; j0 < m; j0 += TILE_ROWS) {
         size_t j1 = j0 + TILE_ROWS < m ? j0 + TILE_ROWS : m;
-        for (size_t i = row_start; i < row_stop; ++i) {
+        for (size_t i = 0; i < n; ++i) {
             const uint64_t* qi = q + i * words;
             int64_t* oi = out + i * m;
             for (size_t j = j0; j < j1; ++j) {
@@ -113,88 +108,18 @@ static void score_rows(const uint64_t* q, const uint64_t* r, int64_t* out,
     }
 }
 
-typedef struct {
-    const uint64_t* q;
-    const uint64_t* r;
-    int64_t* out;
-    size_t row_start;
-    size_t row_stop;
-    size_t m;
-    size_t words;
-    int op;
-} job_t;
-
-static void* run_job(void* arg) {
-    job_t* job = (job_t*)arg;
-    score_rows(job->q, job->r, job->out, job->row_start, job->row_stop,
-               job->m, job->words, job->op);
-    return NULL;
-}
-
-/* Threads own disjoint slices of query rows (disjoint output rows), so no
- * synchronization is needed and the result is identical at any count. */
-void pair_popcount(const uint64_t* q, const uint64_t* r, int64_t* out,
-                   size_t n, size_t m, size_t words, int op, int threads) {
-    if (threads > MAX_THREADS) threads = MAX_THREADS;
-    if ((size_t)threads > n) threads = (int)n;
-    if (threads < 2) {
-        score_rows(q, r, out, 0, n, m, words, op);
-        return;
-    }
-    pthread_t ids[MAX_THREADS];
-    job_t jobs[MAX_THREADS];
-    int spawned = 0;
-    size_t chunk = (n + (size_t)threads - 1) / (size_t)threads;
-    for (int t = 1; t < threads; ++t) {
-        size_t start = (size_t)t * chunk;
-        if (start >= n) break;
-        size_t stop = start + chunk < n ? start + chunk : n;
-        jobs[spawned].q = q;
-        jobs[spawned].r = r;
-        jobs[spawned].out = out;
-        jobs[spawned].row_start = start;
-        jobs[spawned].row_stop = stop;
-        jobs[spawned].m = m;
-        jobs[spawned].words = words;
-        jobs[spawned].op = op;
-        if (pthread_create(&ids[spawned], NULL, run_job, &jobs[spawned]) != 0) {
-            /* Creation failed: run this slice inline instead. */
-            run_job(&jobs[spawned]);
-            continue;
-        }
-        ++spawned;
-    }
-    score_rows(q, r, out, 0, chunk < n ? chunk : n, m, words, op);
-    for (int t = 0; t < spawned; ++t)
-        pthread_join(ids[t], NULL);
-}
-
-/* Legacy single-threaded entry points kept for ABI stability. */
-void and_popcount(const uint64_t* q, const uint64_t* r, int64_t* out,
-                  size_t n, size_t m, size_t words) {
-    pair_popcount(q, r, out, n, m, words, OP_AND, 1);
-}
-
-void xor_popcount(const uint64_t* q, const uint64_t* r, int64_t* out,
-                  size_t n, size_t m, size_t words) {
-    pair_popcount(q, r, out, n, m, words, OP_XOR, 1);
-}
-
 /* Shortlist re-rank for the pruned engine: each query scores only the row
  * groups named by its CSR candidate list and keeps the running best
  * (metric, original row) pair.  The metric is popcount(q AND r) for OP_AND
  * and -popcount(q XOR r) for OP_XOR, so "bigger metric wins, equal metric
  * and lower original row wins" reproduces the full scan's argmax tie rule
  * in both alphabets. */
-static void sparse_scan_rows(const uint64_t* q, const uint64_t* r,
-                             const int64_t* group_start,
-                             const int64_t* orig_row,
-                             const int64_t* list_start,
-                             const int64_t* list_groups,
-                             int64_t* best_metric, int64_t* best_row,
-                             size_t row_begin, size_t row_end,
-                             size_t words, int op) {
-    for (size_t i = row_begin; i < row_end; ++i) {
+void sparse_scan(const uint64_t* q, const uint64_t* r,
+                 const int64_t* group_start, const int64_t* orig_row,
+                 const int64_t* list_start, const int64_t* list_groups,
+                 int64_t* best_metric, int64_t* best_row,
+                 size_t n, size_t words, int op) {
+    for (size_t i = 0; i < n; ++i) {
         const uint64_t* qi = q + i * words;
         int64_t bm = best_metric[i];
         int64_t br = best_row[i];
@@ -223,66 +148,6 @@ static void sparse_scan_rows(const uint64_t* q, const uint64_t* r,
     }
 }
 
-typedef struct {
-    const uint64_t* q;
-    const uint64_t* r;
-    const int64_t* group_start;
-    const int64_t* orig_row;
-    const int64_t* list_start;
-    const int64_t* list_groups;
-    int64_t* best_metric;
-    int64_t* best_row;
-    size_t row_begin;
-    size_t row_end;
-    size_t words;
-    int op;
-} sparse_job_t;
-
-static void* run_sparse_job(void* arg) {
-    sparse_job_t* job = (sparse_job_t*)arg;
-    sparse_scan_rows(job->q, job->r, job->group_start, job->orig_row,
-                     job->list_start, job->list_groups, job->best_metric,
-                     job->best_row, job->row_begin, job->row_end, job->words,
-                     job->op);
-    return NULL;
-}
-
-void sparse_scan(const uint64_t* q, const uint64_t* r,
-                 const int64_t* group_start, const int64_t* orig_row,
-                 const int64_t* list_start, const int64_t* list_groups,
-                 int64_t* best_metric, int64_t* best_row,
-                 size_t n, size_t words, int op, int threads) {
-    if (threads > MAX_THREADS) threads = MAX_THREADS;
-    if ((size_t)threads > n) threads = (int)n;
-    if (threads < 2) {
-        sparse_scan_rows(q, r, group_start, orig_row, list_start, list_groups,
-                         best_metric, best_row, 0, n, words, op);
-        return;
-    }
-    pthread_t ids[MAX_THREADS];
-    sparse_job_t jobs[MAX_THREADS];
-    int spawned = 0;
-    size_t chunk = (n + (size_t)threads - 1) / (size_t)threads;
-    for (int t = 1; t < threads; ++t) {
-        size_t start = (size_t)t * chunk;
-        if (start >= n) break;
-        size_t stop = start + chunk < n ? start + chunk : n;
-        jobs[spawned] = (sparse_job_t){q, r, group_start, orig_row, list_start,
-                                       list_groups, best_metric, best_row,
-                                       start, stop, words, op};
-        if (pthread_create(&ids[spawned], NULL, run_sparse_job,
-                           &jobs[spawned]) != 0) {
-            run_sparse_job(&jobs[spawned]);
-            continue;
-        }
-        ++spawned;
-    }
-    sparse_scan_rows(q, r, group_start, orig_row, list_start, list_groups,
-                     best_metric, best_row, 0, chunk < n ? chunk : n, words,
-                     op);
-    for (int t = 0; t < spawned; ++t)
-        pthread_join(ids[t], NULL);
-}
 /* Certified sign packing for the exact-sign encoder.  Row i of the
  * float64 features x has the float32 sums s (computed from float32(x)),
  * and mt holds the +-1 projection column-major: column j at mt + j * f.
@@ -380,9 +245,12 @@ OP_AND = 0
 OP_XOR = 1
 
 _lock = threading.Lock()
+#: The resolved backend, ``"native"`` or ``"numpy"``: None until the first
+#: kernel call resolves it, after which kernel calls read only this (and
+#: the library bound with it).
+_backend: Optional[str] = None
 _native_lib: Optional[ctypes.CDLL] = None
 _native_attempted = False
-_forced_backend: Optional[str] = None
 _build_info: Optional[Dict[str, str]] = None
 
 
@@ -403,53 +271,38 @@ def _env_tier() -> str:
     return value
 
 
-def _env_threads() -> int:
-    value = os.environ.get("REPRO_PACKED_THREADS", "").strip().lower()
-    if value in ("", "1"):
-        return 1
-    if value in ("auto", "0"):
-        return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PACKED_THREADS must be a positive integer or 'auto', got {value!r}"
-        ) from None
-    if threads < 1:
-        raise ValueError(f"REPRO_PACKED_THREADS must be >= 1, got {threads}")
-    return threads
-
-
 def set_backend(backend: Optional[str]) -> None:
-    """Pin the kernel backend (``"native"`` / ``"numpy"``) or reset with None.
+    """Pin the kernel backend (``"native"`` / ``"numpy"``), or pass None to
+    resolve it from ``REPRO_PACKED_BACKEND`` again on the next call.
 
     Pinning ``"native"`` raises :class:`RuntimeError` when no native kernel
     can be built on this machine; ``"numpy"`` always succeeds.
     """
-    global _forced_backend
-    if backend is None:
-        _forced_backend = None
-        return
-    if backend not in ("native", "numpy"):
+    global _backend
+    if backend not in (None, "native", "numpy"):
         raise ValueError(f"backend must be 'native' or 'numpy', got {backend!r}")
     if backend == "native" and _load_native() is None:
         raise RuntimeError("native popcount kernel is unavailable on this machine")
-    _forced_backend = backend
+    _backend = backend
 
 
 def backend_name() -> str:
-    """Name of the backend the next kernel call will use."""
-    if _forced_backend is not None:
-        return _forced_backend
-    env = _env_backend()
-    if env == "numpy":
-        return "numpy"
-    lib = _load_native()
-    if lib is None:
-        if env == "native":
+    """Name of the backend kernel calls use, resolved on the first call.
+
+    The first call reads ``REPRO_PACKED_BACKEND`` and, unless it says
+    ``numpy``, builds and loads the native kernel; the answer holds until
+    :func:`set_backend` or :func:`reset_native_cache`.
+    """
+    global _backend
+    if _backend is None:
+        env = _env_backend()
+        if env != "numpy" and _load_native() is not None:
+            _backend = "native"
+        elif env == "native":
             raise RuntimeError("REPRO_PACKED_BACKEND=native but no C compiler works")
-        return "numpy"
-    return "native"
+        else:
+            _backend = "numpy"
+    return _backend
 
 
 def native_build_info() -> Optional[Dict[str, str]]:
@@ -465,14 +318,17 @@ def native_build_info() -> Optional[Dict[str, str]]:
 
 
 def reset_native_cache() -> None:
-    """Forget the loaded native library so the next call re-probes.
+    """Forget the resolved backend and the loaded library; the next call
+    resolves again.
 
     The on-disk compile cache is content-addressed and survives; this only
     clears the in-process state, letting tests (and operators) change
-    ``CC`` / ``REPRO_PACKED_TIER`` and have it take effect.
+    ``REPRO_PACKED_BACKEND`` / ``CC`` / ``REPRO_PACKED_TIER`` and have it
+    take effect.
     """
-    global _native_lib, _native_attempted, _build_info
+    global _backend, _native_lib, _native_attempted, _build_info
     with _lock:
+        _backend = None
         _native_lib = None
         _native_attempted = False
         _build_info = None
@@ -503,7 +359,6 @@ def _compile_tier(compiler: str, tier: str) -> Optional[str]:
             "-funroll-loops",
             "-shared",
             "-fPIC",
-            "-pthread",
             *_TIER_FLAGS[tier],
             "-o",
             scratch,
@@ -535,10 +390,8 @@ def _compile_native() -> Optional[Dict[str, str]]:
 def _load_native() -> Optional[ctypes.CDLL]:
     """Load (building if needed) the native kernel library; None on failure."""
     global _native_lib, _native_attempted, _build_info
-    if _native_lib is not None:
+    if _native_lib is not None or _native_attempted:
         return _native_lib
-    if _native_attempted:
-        return None
     with _lock:
         if _native_lib is not None or _native_attempted:
             return _native_lib
@@ -550,36 +403,27 @@ def _load_native() -> Optional[ctypes.CDLL]:
             lib = ctypes.CDLL(info["library"])
         except OSError:
             return None
-        u64 = ctypes.POINTER(ctypes.c_uint64)
-        i64 = ctypes.POINTER(ctypes.c_int64)
-        size_t = ctypes.c_size_t
-        fn = lib.pair_popcount
-        fn.argtypes = [
-            u64, u64, i64, size_t, size_t, size_t, ctypes.c_int, ctypes.c_int
-        ]
-        fn.restype = None
-        fn = lib.sparse_scan
-        fn.argtypes = [
-            u64,
-            u64,
-            i64,
-            i64,
-            i64,
-            i64,
-            i64,
-            i64,
-            size_t,
-            size_t,
-            ctypes.c_int,
-            ctypes.c_int,
-        ]
-        fn.restype = None
-        fn = lib.sign_pack
-        fn.argtypes = [ctypes.c_void_p] * 4 + [size_t] * 4 + [ctypes.c_double] * 5
-        fn.restype = ctypes.c_int64
+        pointer, size_t, c_int = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int
+        lib.pair_popcount.argtypes = [pointer] * 3 + [size_t] * 3 + [c_int]
+        lib.pair_popcount.restype = None
+        lib.sparse_scan.argtypes = [pointer] * 8 + [size_t] * 2 + [c_int]
+        lib.sparse_scan.restype = None
+        lib.sign_pack.argtypes = [pointer] * 4 + [size_t] * 4 + [ctypes.c_double] * 5
+        lib.sign_pack.restype = ctypes.c_int64
         _build_info = info
         _native_lib = lib
     return _native_lib
+
+
+def _address(array: np.ndarray) -> int:
+    """Data pointer of a C-contiguous array, cheaply when writable.
+
+    ``c_char.from_buffer`` rejects read-only arrays (such as memory-mapped
+    AMs) and empty ones, which take the slower ``ndarray.ctypes`` path.
+    """
+    if array.flags.writeable and array.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
 
 
 # -------------------------------------------------------------------- kernels
@@ -594,62 +438,34 @@ def _check_operands(queries: np.ndarray, references: np.ndarray) -> None:
         )
 
 
-def _native_pair_popcount(
-    queries: np.ndarray, references: np.ndarray, op: int, threads: int
-) -> np.ndarray:
-    lib = _load_native()
-    assert lib is not None
-    q = np.ascontiguousarray(queries)
-    r = np.ascontiguousarray(references)
-    out = np.empty((q.shape[0], r.shape[0]), dtype=np.int64)
-    u64 = ctypes.POINTER(ctypes.c_uint64)
-    i64 = ctypes.POINTER(ctypes.c_int64)
-    lib.pair_popcount(
-        q.ctypes.data_as(u64),
-        r.ctypes.data_as(u64),
-        out.ctypes.data_as(i64),
-        q.shape[0],
-        r.shape[0],
-        q.shape[1],
-        op,
-        threads,
-    )
-    return out
-
-
-def _numpy_pair_popcount(
-    queries: np.ndarray, references: np.ndarray, op: Callable
-) -> np.ndarray:
-    n = queries.shape[0]
-    out = np.empty((n, references.shape[0]), dtype=np.int64)
+def _pair_popcount(queries: np.ndarray, references: np.ndarray, op: int) -> np.ndarray:
+    _check_operands(queries, references)
+    n, m = queries.shape[0], references.shape[0]
+    out = np.empty((n, m), dtype=np.int64)
+    if backend_name() == "native":
+        q = np.ascontiguousarray(queries)
+        r = np.ascontiguousarray(references)
+        _native_lib.pair_popcount(
+            _address(q), _address(r), _address(out), n, m, q.shape[1], op
+        )
+        return out
+    combine = np.bitwise_and if op == OP_AND else np.bitwise_xor
     # Block over queries so the (block, m, W) intermediate stays in cache.
     for start in range(0, n, _NUMPY_BLOCK_ROWS):
         stop = min(start + _NUMPY_BLOCK_ROWS, n)
-        combined = op(queries[start:stop, None, :], references[None, :, :])
+        combined = combine(queries[start:stop, None, :], references[None, :, :])
         out[start:stop] = np.bitwise_count(combined).sum(axis=-1, dtype=np.int64)
     return out
 
 
-def and_popcount(
-    queries: np.ndarray, references: np.ndarray, threads: Optional[int] = None
-) -> np.ndarray:
+def and_popcount(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """``out[i, j] = popcount(queries[i] AND references[j])`` over words."""
-    _check_operands(queries, references)
-    if backend_name() == "native":
-        resolved = _env_threads() if threads is None else max(1, int(threads))
-        return _native_pair_popcount(queries, references, OP_AND, resolved)
-    return _numpy_pair_popcount(queries, references, np.bitwise_and)
+    return _pair_popcount(queries, references, OP_AND)
 
 
-def xor_popcount(
-    queries: np.ndarray, references: np.ndarray, threads: Optional[int] = None
-) -> np.ndarray:
+def xor_popcount(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """``out[i, j] = popcount(queries[i] XOR references[j])`` over words."""
-    _check_operands(queries, references)
-    if backend_name() == "native":
-        resolved = _env_threads() if threads is None else max(1, int(threads))
-        return _native_pair_popcount(queries, references, OP_XOR, resolved)
-    return _numpy_pair_popcount(queries, references, np.bitwise_xor)
+    return _pair_popcount(queries, references, OP_XOR)
 
 
 def sparse_scan_available() -> bool:
@@ -667,7 +483,6 @@ def sparse_scan(
     best_metric: np.ndarray,
     best_row: np.ndarray,
     op: int,
-    threads: Optional[int] = None,
 ) -> None:
     """CSR shortlist re-rank (native backend only; see the C kernel).
 
@@ -684,27 +499,18 @@ def sparse_scan(
     backend has no CSR kernel (the pruned engine keeps a pure-numpy
     re-rank loop as its correctness reference).
     """
-    lib = _load_native()
-    if lib is None or backend_name() != "native":
+    if backend_name() != "native":
         raise RuntimeError("sparse_scan requires the native kernel backend")
     _check_operands(queries, references)
-    resolved = _env_threads() if threads is None else max(1, int(threads))
-    u64 = ctypes.POINTER(ctypes.c_uint64)
-    i64 = ctypes.POINTER(ctypes.c_int64)
-    lib.sparse_scan(
-        np.ascontiguousarray(queries).ctypes.data_as(u64),
-        np.ascontiguousarray(references).ctypes.data_as(u64),
-        np.ascontiguousarray(group_start, dtype=np.int64).ctypes.data_as(i64),
-        np.ascontiguousarray(orig_row, dtype=np.int64).ctypes.data_as(i64),
-        np.ascontiguousarray(list_start, dtype=np.int64).ctypes.data_as(i64),
-        np.ascontiguousarray(list_groups, dtype=np.int64).ctypes.data_as(i64),
-        best_metric.ctypes.data_as(i64),
-        best_row.ctypes.data_as(i64),
-        queries.shape[0],
-        queries.shape[1],
-        op,
-        resolved,
-    )
+    # Named, so any contiguous copy outlives the call its address goes to.
+    q = np.ascontiguousarray(queries)
+    r = np.ascontiguousarray(references)
+    index = [
+        np.ascontiguousarray(array, dtype=np.int64)
+        for array in (group_start, orig_row, list_start, list_groups)
+    ]
+    operands = (q, r, *index, best_metric, best_row)
+    _native_lib.sparse_scan(*map(_address, operands), q.shape[0], q.shape[1], op)
 
 
 # ------------------------------------------------- exact-sign encode kernel
@@ -762,13 +568,6 @@ def _numpy_sign_pack(features, values, columns, coefficients, limit):
     return words, pack_binary(undecided, validate=False).words, count
 
 
-def _address(array: np.ndarray) -> int:
-    """Data pointer of a non-empty C-contiguous array, cheaply when writable."""
-    if array.flags.writeable:
-        return ctypes.addressof(ctypes.c_char.from_buffer(array))
-    return array.ctypes.data
-
-
 class SignPacker:
     """Certified packed signs of ``features @ M`` for one ``±1`` projection.
 
@@ -804,7 +603,7 @@ class SignPacker:
         self.columns = np.ascontiguousarray(columns, dtype=np.float32)
         self.coefficients = tuple(float(c) for c in coefficients)
         self.limit = float(limit)
-        self._columns_address = _address(self.columns) if self.columns.size else 0
+        self._columns_address = _address(self.columns)
 
     def __call__(self, features: np.ndarray, values: np.ndarray):
         features = np.ascontiguousarray(features, dtype=np.float64)
@@ -821,7 +620,7 @@ class SignPacker:
             )
         nwords = (dimension + 63) // 64
         out = np.empty((2, n, nwords), dtype=np.uint64)
-        count = _load_native().sign_pack(
+        count = _native_lib.sign_pack(
             _address(features),
             _address(values),
             self._columns_address,

@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.store import config_key
+from repro.hdc.engine import ENGINES
 
 try:  # pyyaml is a declared dependency, but degrade loudly, not weirdly.
     import yaml as _yaml
@@ -49,9 +50,6 @@ except ModuleNotFoundError:  # pragma: no cover - exercised only without pyyaml
 
 #: Step kinds a workflow can chain (the pipeline stages of ROADMAP item 4).
 STEP_KINDS = ("dataset", "train", "sweep", "bench", "serve-smoke")
-
-#: Engines a bench / serve-smoke step may request.
-_BENCH_ENGINES = ("float", "packed", "pruned")
 
 #: Step and workflow names: path-safe (they name result files and DB rows).
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -239,17 +237,12 @@ def _validate_config(step_name: str, kind: str, config: Dict[str, Any]) -> None:
         if not isinstance(engines, (list, tuple)) or not engines:
             raise bad("engines must be a non-empty list")
         for engine in engines:
-            if engine not in _BENCH_ENGINES:
-                raise bad(
-                    f"unknown engine {engine!r}; choose from {_BENCH_ENGINES}"
-                )
+            if engine not in ENGINES:
+                raise bad(f"unknown engine {engine!r}; choose from {ENGINES}")
         config["engines"] = list(engines)
     if kind == "serve-smoke":
-        if config["engine"] not in _BENCH_ENGINES:
-            raise bad(
-                f"unknown engine {config['engine']!r}; "
-                f"choose from {_BENCH_ENGINES}"
-            )
+        if config["engine"] not in ENGINES:
+            raise bad(f"unknown engine {config['engine']!r}; choose from {ENGINES}")
         for key in ("requests", "batch"):
             if not isinstance(config[key], int) or config[key] < 1:
                 raise bad(f"{key} must be an integer >= 1")

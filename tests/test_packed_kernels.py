@@ -1,18 +1,20 @@
 """Fuzz harness for the popcount kernel backends.
 
-``repro.hdc._packed_kernels`` ships three implementations of the same
+``repro.hdc._packed_kernels`` ships two implementations of the same
 contract -- the self-compiled native kernel (at whatever compiler-flag
-tier this machine supports), its pthread-parallel variant, and the pure
-numpy reference.  Everything downstream (packed engine, pruned search,
-serving) assumes they are *bit-identical*; these tests fuzz that
-equivalence over randomized shapes, thread counts and flag tiers, and
-prove the silent-numpy-fallback path when no compiler is available.
+tier this machine supports) and the pure numpy reference.  Everything
+downstream (packed engine, pruned search, serving) assumes they are
+*bit-identical*; these tests fuzz that equivalence over randomized
+shapes, read-only and zero-size operands and flag tiers, prove the
+silent-numpy-fallback path when no compiler is available, and check
+that kernel calls read only the backend resolved once per process.
 """
 
 import numpy as np
 import pytest
 
 from repro.hdc import _packed_kernels as kernels
+from repro.hdc import encoders
 
 
 def _random_words(rng, rows, words):
@@ -30,36 +32,34 @@ def restore_backend():
     kernels.set_backend(None)
 
 
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 # --------------------------------------------------------------------------
-# numpy reference vs native, over randomized shapes and threads
+# numpy reference vs native, over randomized shapes and operand kinds
 # --------------------------------------------------------------------------
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("threads", [None, 1, 3])
-    def test_pair_popcount_fuzz(self, threads, restore_backend):
+    @pytest.mark.parametrize("variant", ["writable", "read-only", "zero-size"])
+    def test_pair_popcount_fuzz(self, variant, restore_backend):
         _native_only()
         rng = np.random.default_rng(61)
-        for _ in range(30):
-            n, m, words = rng.integers(0, 20, size=3)
-            q = _random_words(rng, int(n), int(words))
-            r = _random_words(rng, int(m), int(words))
+        for trial in range(30):
+            n, m, words = (int(v) for v in rng.integers(1, 20, size=3))
+            if variant == "zero-size":
+                n, m, words = [(0, m, words), (n, 0, words), (n, m, 0)][trial % 3]
+            q = _random_words(rng, n, words)
+            r = _random_words(rng, m, words)
+            if variant == "read-only":
+                q, r = _read_only(q, r)
             kernels.set_backend("native")
-            native_and = kernels.and_popcount(q, r, threads=threads)
-            native_xor = kernels.xor_popcount(q, r, threads=threads)
+            native_and = kernels.and_popcount(q, r)
+            native_xor = kernels.xor_popcount(q, r)
             kernels.set_backend("numpy")
             np.testing.assert_array_equal(native_and, kernels.and_popcount(q, r))
             np.testing.assert_array_equal(native_xor, kernels.xor_popcount(q, r))
-
-    def test_env_threads_respected(self, restore_backend, monkeypatch):
-        _native_only()
-        rng = np.random.default_rng(67)
-        q = _random_words(rng, 9, 4)
-        r = _random_words(rng, 13, 4)
-        kernels.set_backend("numpy")
-        expected = kernels.and_popcount(q, r)
-        kernels.set_backend("native")
-        for env in ("", "1", "4", "auto", "0"):
-            monkeypatch.setenv("REPRO_PACKED_THREADS", env)
-            np.testing.assert_array_equal(kernels.and_popcount(q, r), expected)
 
     def test_empty_operands(self):
         empty = np.empty((0, 3), dtype=np.uint64)
@@ -75,6 +75,46 @@ class TestBackendEquivalence:
             kernels.and_popcount(good.astype(np.int64), good)
         with pytest.raises(ValueError):
             kernels.xor_popcount(good[0], good)
+
+
+class _UnreadableEnviron(dict):
+    """An ``os.environ`` stand-in that fails every read."""
+
+    def _fail(self, *args, **kwargs):
+        raise AssertionError("kernel call read the environment")
+
+    get = __getitem__ = __contains__ = __iter__ = __len__ = _fail
+
+
+class TestResolvedOnce:
+    def test_calls_read_no_environment_once_resolved(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        q = _random_words(rng, 3, 2)
+        r = _random_words(rng, 5, 2)
+        columns = rng.choice([-1.0, 1.0], size=(70, 6)).astype(np.float32)
+        features = rng.normal(size=(4, 6))
+        values = features.astype(np.float32) @ columns.T
+        coefficients = encoders._bound_coefficients(6)
+        packer = kernels.SignPacker(columns, coefficients, 2.0**100)
+        kernels.reset_native_cache()
+        try:
+            backend = kernels.backend_name()
+            expected = (
+                kernels.and_popcount(q, r),
+                kernels.xor_popcount(q, r),
+                packer(features, values),
+            )
+            monkeypatch.setattr(kernels.os, "environ", _UnreadableEnviron())
+            assert kernels.backend_name() == backend
+            np.testing.assert_array_equal(kernels.and_popcount(q, r), expected[0])
+            np.testing.assert_array_equal(kernels.xor_popcount(q, r), expected[1])
+            words, open_bits, count = packer(features, values)
+            np.testing.assert_array_equal(words, expected[2][0])
+            np.testing.assert_array_equal(open_bits, expected[2][1])
+            assert count == expected[2][2]
+        finally:
+            monkeypatch.undo()
+            kernels.reset_native_cache()
 
 
 class TestCompilerTiers:
@@ -179,31 +219,40 @@ class TestSparseScan:
         return best_metric, best_row
 
     @pytest.mark.parametrize("op_name", ["and", "xor"])
-    @pytest.mark.parametrize("threads", [None, 1, 4])
-    def test_matches_reference(self, op_name, threads):
+    @pytest.mark.parametrize("variant", ["writable", "read-only", "zero-size"])
+    def test_matches_reference(self, op_name, variant):
         _native_only()
         op = kernels.OP_AND if op_name == "and" else kernels.OP_XOR
         rng = np.random.default_rng(79)
-        for _ in range(15):
+        for trial in range(15):
             groups = int(rng.integers(1, 8))
             rows = rng.integers(1, 5, size=groups)
-            total = int(rows.sum())
             words = int(rng.integers(1, 6))
             n = int(rng.integers(1, 7))
-            q = _random_words(rng, n, words)
-            r = _random_words(rng, total, words)
-            group_start = np.zeros(groups + 1, dtype=np.int64)
-            np.cumsum(rows, out=group_start[1:])
-            orig_row = rng.permutation(total).astype(np.int64)
             lists = [
                 np.sort(
                     rng.choice(groups, size=rng.integers(1, groups + 1), replace=False)
                 )
                 for _ in range(n)
             ]
+            if variant == "zero-size":
+                # No queries, no candidates, no words or no rows at all.
+                case = trial % 4
+                n = 0 if case == 0 else n
+                lists = [np.empty(0, dtype=np.int64)] * n if case == 1 else lists[:n]
+                words = 0 if case == 2 else words
+                rows = rows * 0 if case == 3 else rows
+            total = int(rows.sum())
+            q = _random_words(rng, n, words)
+            r = _random_words(rng, total, words)
+            group_start = np.zeros(groups + 1, dtype=np.int64)
+            np.cumsum(rows, out=group_start[1:])
+            orig_row = rng.permutation(total).astype(np.int64)
             list_start = np.zeros(n + 1, dtype=np.int64)
             np.cumsum([len(lst) for lst in lists], out=list_start[1:])
-            list_groups = np.concatenate(lists).astype(np.int64)
+            list_groups = np.concatenate([np.empty(0), *lists]).astype(np.int64)
+            if variant == "read-only":
+                _read_only(q, r, group_start, orig_row, list_start, list_groups)
             expect_metric, expect_row = self._csr_reference(
                 q, r, group_start, orig_row, list_start, list_groups, op
             )
@@ -219,7 +268,6 @@ class TestSparseScan:
                 best_metric,
                 best_row,
                 op,
-                threads=threads,
             )
             np.testing.assert_array_equal(best_metric, expect_metric)
             np.testing.assert_array_equal(best_row, expect_row)

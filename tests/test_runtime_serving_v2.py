@@ -17,6 +17,7 @@ Covers the four hardening satellites of the serving-v2 PR:
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import threading
@@ -273,7 +274,8 @@ class TestHotSwapRace:
         stop = threading.Event()
         anomalies = []
         manifest_failures = []
-        served_specs = set()
+        served = collections.Counter()  # responses per artifact
+        served_changed = threading.Condition()
 
         def requester() -> None:
             while not stop.is_set():
@@ -287,7 +289,9 @@ class TestHotSwapRace:
                 artifact = payload["artifact"]
                 if payload["labels"] != expected.get(artifact):
                     anomalies.append(("torn", artifact, payload["labels"]))
-                served_specs.add(artifact)
+                with served_changed:
+                    served[artifact] += 1
+                    served_changed.notify_all()
 
         def manifest_poller() -> None:
             while not stop.is_set():
@@ -311,7 +315,14 @@ class TestHotSwapRace:
                 )
                 assert status == 200, payload
                 assert payload["artifact"] == spec
-                time.sleep(0.05)
+                # Race the next reload only once a requester has been
+                # served the version just installed.
+                with served_changed:
+                    before = served[spec]
+                    fresh = served_changed.wait_for(
+                        lambda: served[spec] > before, timeout=30.0
+                    )
+                assert fresh, f"no request was served {spec} after its reload"
         finally:
             stop.set()
             for thread in workers:
@@ -320,7 +331,7 @@ class TestHotSwapRace:
         _post_status(server.url + "/reload", {"model": "demo", "spec": "demo:v1"})
         assert not anomalies
         assert not manifest_failures
-        assert served_specs >= {"demo:v1", "demo:v2"}, (
+        assert set(served) >= {"demo:v1", "demo:v2"}, (
             "the race never actually observed both versions"
         )
 

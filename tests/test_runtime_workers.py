@@ -322,6 +322,7 @@ class TestReloadFanout:
         with WorkerSupervisor(config, workers=2) as supervisor:
             observed = []
             stop = threading.Event()
+            streaming = threading.Event()
 
             def _stream():
                 while not stop.is_set():
@@ -330,11 +331,13 @@ class TestReloadFanout:
                     )
                     if status == 200:
                         observed.append(payload["labels"])
+                        streaming.set()
 
             client = threading.Thread(target=_stream)
             client.start()
             try:
-                time.sleep(0.2)
+                # Reload only once responses are flowing, so the race is real.
+                assert streaming.wait(timeout=30.0), "no /predict answered 200"
                 status, reply = _post_status(
                     supervisor.url + "/reload",
                     {"model": "demo", "spec": "demo:v2"},
@@ -347,6 +350,7 @@ class TestReloadFanout:
             assert set(reply["workers"]) == {"0", "1"}
 
             # Racing responses may be v1 or v2, but never a blend.
+            assert observed
             for labels in observed:
                 assert labels in (expected["v1"], expected["v2"])
             # After the fan-out both workers answer with v2, every time.

@@ -45,7 +45,7 @@ subcommands cover the everyday workflows:
 
 ``repro map --dataset mnist --rows 128 --cols 128``
     Print the Table II mapping analysis (basic / partitioned / MEMHD) for an
-    array geometry.
+    array geometry, from the dataset profile's feature and class counts.
 
 ``repro sweep run --models memhd,basichdc --dimensions 64,128 --results r.jsonl``
     Expand a declarative experiment grid (models x datasets x dimensions x
@@ -59,9 +59,16 @@ subcommands cover the everyday workflows:
     (``report``), or compare two stores metric-by-metric for regression
     checks (``diff``; non-zero exit on drift).
 
-Every dataset-touching command accepts ``--scale`` to control how much of
-the paper-scale per-class sample budget the (synthetic or real) dataset
+Every command that loads samples accepts ``--scale`` to control how much
+of the paper-scale per-class sample budget the (synthetic or real) dataset
 provides, and ``--seed`` for reproducibility.
+
+Each group of setting flags takes its dests (setting names) and defaults
+from the object that owns it: ``train`` / ``predict`` from
+:data:`repro.eval.sweep.MODEL_DEFAULTS` (except ``train --epochs 20``),
+``sweep`` from :class:`~repro.eval.sweep.SweepSpec`, ``serve`` from
+:class:`~repro.runtime.config.ServeConfig` (except ``--engine packed``)
+and ``serve --online`` from :class:`~repro.runtime.online.OnlineConfig`.
 """
 
 from __future__ import annotations
@@ -75,7 +82,8 @@ import sys
 import threading
 from typing import List, Optional, Sequence
 
-from repro.data.datasets import available_datasets, load_dataset
+from repro.core.config import INIT_METHODS
+from repro.data.datasets import DATASET_PROFILES, available_datasets, load_dataset
 from repro.eval.metrics import accuracy
 from repro.eval.reporting import (
     format_heatmap,
@@ -87,8 +95,11 @@ from repro.eval.reporting import (
 )
 from repro.eval.store import ResultStore, StoreError
 from repro.eval.sweep import (
+    DEFAULT_SCALE,
     MODEL_CHOICES,
+    MODEL_DEFAULTS,
     SWEEP_ENGINES,
+    SWEEP_KINDS,
     SweepError,
     SweepSpec,
     best_record,
@@ -111,7 +122,7 @@ from repro.io.checkpoint import (
 )
 from repro.io.registry import ArtifactRegistry, RegistryError
 from repro.runtime.config import ServeConfig
-from repro.runtime.loadtest import fetch_server_stats, run_load
+from repro.runtime.loadtest import MODES, fetch_server_stats, run_load
 from repro.runtime.online import OnlineConfig
 from repro.runtime.pipeline import throughput_comparison
 from repro.runtime.server import DRAIN_TIMEOUT_S, ModelServer
@@ -179,38 +190,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_dataset_options(sub: argparse.ArgumentParser) -> None:
+    def add_dataset_option(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--dataset", default="mnist", choices=available_datasets(),
             help="dataset profile to load",
         )
+
+    def add_dataset_options(sub: argparse.ArgumentParser) -> None:
+        add_dataset_option(sub)
         sub.add_argument(
-            "--scale", type=float, default=0.02,
-            help="fraction of the paper-scale per-class sample budget (default 0.02)",
+            "--scale", type=float, default=DEFAULT_SCALE,
+            help="fraction of the paper-scale per-class sample budget "
+            "(default %(default)s)",
         )
         sub.add_argument("--seed", type=int, default=0, help="random seed")
 
-    def add_model_options(sub: argparse.ArgumentParser, epochs: int) -> None:
+    # Dests and defaults from MODEL_DEFAULTS; train's --epochs 20 departs.
+    def add_model_options(
+        sub: argparse.ArgumentParser, epochs: int = MODEL_DEFAULTS["epochs"]
+    ) -> None:
         sub.add_argument("--model", default="memhd", choices=MODEL_CHOICES)
         sub.add_argument(
-            "--dimension", type=int, default=128, help="hypervector dimension D"
+            "--dimension", type=int, default=MODEL_DEFAULTS["dimension"],
+            help="hypervector dimension D",
         )
         sub.add_argument(
-            "--columns", type=int, default=128,
+            "--columns", type=int, default=MODEL_DEFAULTS["columns"],
             help="MEMHD AM columns C (ignored by the baselines)",
         )
         sub.add_argument("--epochs", type=int, default=epochs)
-        sub.add_argument("--learning-rate", type=float, default=0.05)
         sub.add_argument(
-            "--cluster-ratio", type=float, default=0.8,
+            "--learning-rate", type=float, default=MODEL_DEFAULTS["learning_rate"]
+        )
+        sub.add_argument(
+            "--cluster-ratio", type=float, default=MODEL_DEFAULTS["cluster_ratio"],
             help="MEMHD initial cluster ratio R",
         )
         sub.add_argument(
-            "--init", default="clustering", choices=("clustering", "random"),
-            help="MEMHD initialization method",
+            "--init", dest="init_method", default=MODEL_DEFAULTS["init_method"],
+            choices=INIT_METHODS, help="MEMHD initialization method",
         )
         sub.add_argument(
-            "--id-levels", type=int, default=32,
+            "--id-levels", type=int, default=MODEL_DEFAULTS["id_levels"],
             help="number of levels L for the ID-Level baselines",
         )
 
@@ -240,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the test split through the batched inference pipeline",
     )
     add_dataset_options(predict)
-    add_model_options(predict, epochs=5)
+    add_model_options(predict)
     predict.add_argument(
         "--load", default=None, metavar="CKPT",
         help="serve a checkpointed model (path or registry 'name[:tag]') "
@@ -358,47 +379,55 @@ def build_parser() -> argparse.ArgumentParser:
         "that clear the promotion gate are checkpointed (with lineage) "
         "and hot-swapped into traffic; requires --models (registry-backed)",
     )
+    # Dests and defaults of the --online flags come from OnlineConfig.
     serve.add_argument(
-        "--promote-threshold", type=float, default=0.0, metavar="ACC",
+        "--promote-threshold", type=float, default=OnlineConfig.promote_threshold,
+        metavar="ACC",
         help="minimum holdout accuracy a shadow must reach to be "
-        "promoted (default 0: gate only on beating the live model)",
+        "promoted (default %(default)s: gate only on beating the live model)",
     )
     serve.add_argument(
-        "--promote-margin", type=float, default=0.0, metavar="ACC",
+        "--promote-margin", type=float, default=OnlineConfig.promote_margin,
+        metavar="ACC",
         help="how much the shadow must beat the live model by on the "
-        "holdout slice (default 0: promote on ties)",
+        "holdout slice (default %(default)s: promote on ties)",
     )
     serve.add_argument(
-        "--min-feedback", type=int, default=32, metavar="N",
+        "--min-feedback", type=int, default=OnlineConfig.min_feedback, metavar="N",
         help="buffered samples that trigger a shadow training fold "
-        "(default 32; a graceful drain folds any remainder)",
+        "(default %(default)s; a graceful drain folds any remainder)",
     )
     serve.add_argument(
-        "--feedback-buffer", type=int, default=4096, metavar="N",
+        "--feedback-buffer", dest="buffer_size", type=int,
+        default=OnlineConfig.buffer_size, metavar="N",
         help="bound of the feedback buffer; beyond it POST /feedback "
-        "sheds load with HTTP 429 (default 4096)",
+        "sheds load with HTTP 429 (default %(default)s)",
     )
     serve.add_argument(
-        "--shadow-interval", type=float, default=1.0, metavar="S",
+        "--shadow-interval", dest="interval_s", type=float,
+        default=OnlineConfig.interval_s, metavar="S",
         help="cadence of the background trainer's buffer checks "
-        "(default 1.0)",
+        "(default %(default)s)",
     )
     serve.add_argument(
-        "--eval-fraction", type=float, default=0.25, metavar="F",
+        "--eval-fraction", type=float, default=OnlineConfig.eval_fraction,
+        metavar="F",
         help="share of feedback withheld into the holdout reservoir the "
-        "promotion gate scores on (default 0.25; 0 disables promotion)",
+        "promotion gate scores on (default %(default)s; 0 disables promotion)",
     )
     serve.add_argument(
-        "--eval-window", type=int, default=256, metavar="N",
-        help="rolling bound of the holdout reservoir (default 256)",
+        "--eval-window", type=int, default=OnlineConfig.eval_window, metavar="N",
+        help="rolling bound of the holdout reservoir (default %(default)s)",
     )
     serve.add_argument(
-        "--online-lr", type=float, default=None, metavar="LR",
+        "--online-lr", dest="learning_rate", type=float,
+        default=OnlineConfig.learning_rate, metavar="LR",
         help="learning rate of the streaming updates (default: the "
         "checkpoint's training rate; drift recovery usually wants more)",
     )
     serve.add_argument(
-        "--online-results", default=None, metavar="PATH",
+        "--online-results", dest="results_path",
+        default=OnlineConfig.results_path, metavar="PATH",
         help="drift-record JSONL path (default: online-drift.jsonl next "
         "to the served artifact's checkpoints)",
     )
@@ -416,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="route requests at /models/NAME/predict instead of /predict",
     )
     loadtest.add_argument(
-        "--mode", default="closed", choices=("closed", "open"),
+        "--mode", default="closed", choices=MODES,
         help="closed: each worker keeps one request in flight; open: "
         "requests start on a fixed --rate schedule",
     )
@@ -488,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd = subparsers.add_parser(
         "map", help="Table II mapping analysis for an IMC array geometry"
     )
-    add_dataset_options(map_cmd)
+    add_dataset_option(map_cmd)
     map_cmd.add_argument("--rows", type=int, default=128, help="IMC array rows")
     map_cmd.add_argument("--cols", type=int, default=128, help="IMC array columns")
     map_cmd.add_argument(
@@ -516,75 +545,84 @@ def build_parser() -> argparse.ArgumentParser:
             help="append-only JSONL result store (default sweep-results.jsonl)",
         )
 
+    # Dests and defaults from SweepSpec: a bare `sweep run` is SweepSpec().
     def add_spec_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--spec", default=None, metavar="FILE",
             help="JSON sweep spec file; overrides the axis flags below",
         )
         sub.add_argument(
-            "--models", type=_str_list, default=["memhd"],
+            "--models", type=_str_list, default=SweepSpec.models,
             help=f"comma-separated model families ({', '.join(MODEL_CHOICES)})",
         )
         sub.add_argument(
-            "--datasets", type=_str_list, default=["mnist"],
+            "--datasets", type=_str_list, default=SweepSpec.datasets,
             help="comma-separated dataset names",
         )
-        sub.add_argument("--dimensions", type=_int_list, default=[64, 128])
         sub.add_argument(
-            "--columns", type=_int_list, default=[128],
+            "--dimensions", type=_int_list, default=SweepSpec.dimensions
+        )
+        sub.add_argument(
+            "--columns", type=_int_list, default=SweepSpec.columns,
             help="MEMHD centroid budgets C (ignored by the baselines)",
         )
         sub.add_argument(
-            "--engines", type=_str_list, default=["float"],
+            "--engines", type=_str_list, default=SweepSpec.engines,
             help=f"similarity engines to time ({','.join(SWEEP_ENGINES)})",
         )
         sub.add_argument(
-            "--cluster-ratios", type=_float_list, default=[0.8],
+            "--cluster-ratios", type=_float_list, default=SweepSpec.cluster_ratios,
             help="MEMHD initial cluster ratios R",
         )
         sub.add_argument(
-            "--noise", type=_float_list, default=[0.0], metavar="P",
+            "--noise", dest="bit_flip_probabilities", type=_float_list,
+            default=SweepSpec.bit_flip_probabilities, metavar="P",
             help="IMC bit-flip probabilities (MEMHD cells only; 0 = ideal)",
         )
         sub.add_argument(
-            "--adc-bits", type=_adc_list, default=[None], metavar="BITS",
+            "--adc-bits", type=_adc_list, default=SweepSpec.adc_bits,
+            metavar="BITS",
             help="column ADC resolutions (MEMHD cells only; 'ideal' = none)",
         )
-        sub.add_argument("--scale", type=float, default=0.02)
-        sub.add_argument("--epochs", type=int, default=5)
-        sub.add_argument("--learning-rate", type=float, default=0.05)
-        sub.add_argument("--id-levels", type=int, default=32)
+        sub.add_argument("--scale", type=float, default=SweepSpec.scale)
+        sub.add_argument("--epochs", type=int, default=SweepSpec.epochs)
         sub.add_argument(
-            "--init", default="clustering", choices=("clustering", "random")
+            "--learning-rate", type=float, default=SweepSpec.learning_rate
         )
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--id-levels", type=int, default=SweepSpec.id_levels)
         sub.add_argument(
-            "--kind", default="accuracy", choices=("accuracy", "serving-load"),
+            "--init", dest="init_method", default=SweepSpec.init_method,
+            choices=INIT_METHODS,
+        )
+        sub.add_argument("--seed", type=int, default=SweepSpec.seed)
+        sub.add_argument(
+            "--kind", default=SweepSpec.kind, choices=SWEEP_KINDS,
             help="cell kind: accuracy/memory evaluation (default) or "
             "serving-load cells that boot a server per cell and load-test it",
         )
         sub.add_argument(
-            "--serving-concurrency", type=_int_list, default=[8],
+            "--serving-concurrency", type=_int_list,
+            default=SweepSpec.serving_concurrency,
             help="serving-load axis: load-generator concurrency levels",
         )
         sub.add_argument(
-            "--serving-workers", type=_int_list, default=[1],
+            "--serving-workers", type=_int_list, default=SweepSpec.serving_workers,
             help="serving-load axis: server worker-process counts",
         )
         sub.add_argument(
-            "--serving-batch", type=_int_list, default=[1],
+            "--serving-batch", type=_int_list, default=SweepSpec.serving_batch,
             help="serving-load axis: rows per request",
         )
         sub.add_argument(
-            "--serving-modes", type=_str_list, default=["closed"],
+            "--serving-modes", type=_str_list, default=SweepSpec.serving_modes,
             help="serving-load axis: loop modes (closed,open)",
         )
         sub.add_argument(
-            "--serving-requests", type=int, default=64,
+            "--serving-requests", type=int, default=SweepSpec.serving_requests,
             help="fixed request count per serving-load cell (deterministic)",
         )
         sub.add_argument(
-            "--serving-rate", type=float, default=None,
+            "--serving-rate", type=float, default=SweepSpec.serving_rate,
             help="offered requests/second for open-loop serving cells",
         )
         sub.add_argument(
@@ -736,26 +774,23 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 # Command implementations
 # --------------------------------------------------------------------------
+def _settings(cls, args: argparse.Namespace):
+    """Settings dataclass ``cls`` from the flags whose dests are its field names."""
+    fields = [f.name for f in dataclasses.fields(cls) if hasattr(args, f.name)]
+    return cls(**{name: getattr(args, name) for name in fields})
+
+
 def _build_model(args: argparse.Namespace, num_features: int, num_classes: int):
     """Instantiate the requested model family from CLI arguments.
 
     Delegates to :func:`repro.eval.sweep.build_model`, the factory shared
     with the sweep workers, so ``repro train`` and a sweep cell with the
-    same hyperparameters construct identical models.
+    same hyperparameters construct identical models.  Every class gets at
+    least one centroid column.
     """
-    return build_model(
-        args.model,
-        num_features,
-        num_classes,
-        dimension=args.dimension,
-        columns=max(args.columns, num_classes),
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        cluster_ratio=args.cluster_ratio,
-        init_method=args.init,
-        id_levels=args.id_levels,
-        seed=args.seed,
-    )
+    hyper = {name: getattr(args, name) for name in MODEL_DEFAULTS}
+    hyper["columns"] = max(hyper["columns"], num_classes)
+    return build_model(args.model, num_features, num_classes, seed=args.seed, **hyper)
 
 
 def _is_checkpoint_path(spec: str) -> bool:
@@ -923,12 +958,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, scale=min(args.scale, 0.02), rng=args.seed)
+    profile = DATASET_PROFILES[args.dataset]
     array = IMCArrayConfig(args.rows, args.cols)
     memhd_dimension = args.memhd_dimension or array.rows
     reports = full_mapping_report(
-        num_features=dataset.num_features,
-        num_classes=dataset.num_classes,
+        num_features=profile.num_features,
+        num_classes=profile.num_classes,
         baseline_dimension=args.baseline_dimension,
         memhd_dimension=memhd_dimension,
         memhd_columns=array.cols,
@@ -991,29 +1026,7 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         # A fixed preset, independent of the other axis flags, so every CI
         # run exercises the identical tiny grid.
         return SERVING_SMOKE_SPEC if args.kind == "serving-load" else SMOKE_SPEC
-    return SweepSpec(
-        models=tuple(args.models),
-        datasets=tuple(args.datasets),
-        dimensions=tuple(args.dimensions),
-        columns=tuple(args.columns),
-        cluster_ratios=tuple(args.cluster_ratios),
-        engines=tuple(args.engines),
-        bit_flip_probabilities=tuple(args.noise),
-        adc_bits=tuple(args.adc_bits),
-        scale=args.scale,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        id_levels=args.id_levels,
-        init_method=args.init,
-        seed=args.seed,
-        kind=args.kind,
-        serving_concurrency=tuple(args.serving_concurrency),
-        serving_workers=tuple(args.serving_workers),
-        serving_batch=tuple(args.serving_batch),
-        serving_modes=tuple(args.serving_modes),
-        serving_requests=args.serving_requests,
-        serving_rate=args.serving_rate,
-    )
+    return _settings(SweepSpec, args)
 
 
 def cmd_sweep_run(args: argparse.Namespace) -> int:
@@ -1256,23 +1269,6 @@ def _on_sigterm(callback) -> None:
         signal.signal(signal.SIGTERM, lambda *_: callback())
 
 
-def _online_config(args: argparse.Namespace) -> "OnlineConfig | None":
-    """The ``--online`` knobs as an OnlineConfig (``None`` when off)."""
-    if not args.online:
-        return None
-    return OnlineConfig(
-        promote_threshold=args.promote_threshold,
-        promote_margin=args.promote_margin,
-        min_feedback=args.min_feedback,
-        interval_s=args.shadow_interval,
-        buffer_size=args.feedback_buffer,
-        eval_fraction=args.eval_fraction,
-        eval_window=args.eval_window,
-        learning_rate=args.online_lr,
-        results_path=args.online_results,
-    )
-
-
 def _serve_banner(
     args: argparse.Namespace, serve: ServeConfig, url: str, pool: str, online
 ) -> None:
@@ -1351,10 +1347,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
               "(promotions are versioned checkpoints)", file=sys.stderr)
         return 2
     try:
-        serve = ServeConfig(
-            **{f.name: getattr(args, f.name) for f in dataclasses.fields(ServeConfig)}
-        )
-        online = _online_config(args)
+        serve = _settings(ServeConfig, args)
+        online = _settings(OnlineConfig, args) if args.online else None
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -276,7 +276,6 @@ def load_dataset(
     profile = DATASET_PROFILES[key]
     if rng is None:
         # Stable per-dataset default seed so callers get identical surrogates.
-        rng = abs(hash(key)) % (2**31)
         rng = {"mnist": 1001, "fmnist": 2002, "isolet": 3003}[key]
     gen = _as_generator(rng)
     spec = profile.spec(scale=scale)

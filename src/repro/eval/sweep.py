@@ -38,6 +38,7 @@ import hashlib
 import itertools
 import os
 import time
+from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -80,39 +81,53 @@ class SweepError(Exception):
 
 
 # --------------------------------------------------------------------------
-# Shared model factory (used by the sweep workers and the CLI)
+# Shared model factory (used by the sweep workers, the CLI and workflows)
 # --------------------------------------------------------------------------
-def build_model(
-    model: str,
-    num_features: int,
-    num_classes: int,
-    *,
-    dimension: int = 128,
-    columns: int = 128,
-    epochs: int = 5,
-    learning_rate: float = 0.05,
-    cluster_ratio: float = 0.8,
-    init_method: str = "clustering",
-    id_levels: int = 32,
-    seed: int = 0,
-):
+#: The one declaration of the training hyperparameters and their defaults.
+#: ``repro train`` / ``repro predict`` flags, :class:`SweepSpec`'s scalar
+#: and axis defaults and the workflow ``train`` step schema all read it.
+MODEL_DEFAULTS = MappingProxyType(
+    {
+        "dimension": 128,
+        "columns": 128,
+        "epochs": 5,
+        "learning_rate": 0.05,
+        "cluster_ratio": 0.8,
+        "init_method": "clustering",
+        "id_levels": 32,
+    }
+)
+
+#: Default fraction of the paper-scale per-class sample budget.
+DEFAULT_SCALE = 0.02
+
+
+def build_model(model: str, num_features: int, num_classes: int, *, seed: int, **hyper):
     """Instantiate any supported model family from flat hyperparameters.
 
     This is the single construction path shared by ``repro train`` /
-    ``repro predict`` and the sweep workers, so a sweep cell trains
-    exactly the model the CLI would.
+    ``repro predict``, workflow ``train`` steps and the sweep workers, so
+    a sweep cell trains exactly the model the CLI would.  ``hyper`` takes
+    any of the :data:`MODEL_DEFAULTS` names; omitted ones take their
+    default and any other name is rejected.
     """
+    unknown = sorted(set(hyper) - set(MODEL_DEFAULTS))
+    if unknown:
+        raise ValueError(
+            f"unknown hyperparameter(s) {unknown}; choose from {sorted(MODEL_DEFAULTS)}"
+        )
+    hyper = {**MODEL_DEFAULTS, **hyper}
     if model == "memhd":
         from repro.core.config import MEMHDConfig
         from repro.core.model import MEMHDModel
 
         config = MEMHDConfig(
-            dimension=dimension,
-            columns=columns,
-            cluster_ratio=cluster_ratio,
-            epochs=epochs,
-            learning_rate=learning_rate,
-            init_method=init_method,
+            dimension=hyper["dimension"],
+            columns=hyper["columns"],
+            cluster_ratio=hyper["cluster_ratio"],
+            epochs=hyper["epochs"],
+            learning_rate=hyper["learning_rate"],
+            init_method=hyper["init_method"],
             seed=seed,
         )
         return MEMHDModel(num_features, num_classes, config, rng=seed)
@@ -123,9 +138,9 @@ def build_model(
             num_features,
             num_classes,
             BasicHDCConfig(
-                dimension=dimension,
-                refine_epochs=epochs,
-                learning_rate=learning_rate,
+                dimension=hyper["dimension"],
+                refine_epochs=hyper["epochs"],
+                learning_rate=hyper["learning_rate"],
                 seed=seed,
             ),
         )
@@ -136,10 +151,10 @@ def build_model(
             num_features,
             num_classes,
             QuantHDConfig(
-                dimension=dimension,
-                num_levels=id_levels,
-                epochs=epochs,
-                learning_rate=learning_rate,
+                dimension=hyper["dimension"],
+                num_levels=hyper["id_levels"],
+                epochs=hyper["epochs"],
+                learning_rate=hyper["learning_rate"],
                 seed=seed,
             ),
         )
@@ -150,10 +165,10 @@ def build_model(
             num_features,
             num_classes,
             SearcHDConfig(
-                dimension=dimension,
-                num_levels=id_levels,
+                dimension=hyper["dimension"],
+                num_levels=hyper["id_levels"],
                 num_models=8,
-                epochs=max(1, min(epochs, 3)),
+                epochs=max(1, min(hyper["epochs"], 3)),
                 seed=seed,
             ),
         )
@@ -164,10 +179,10 @@ def build_model(
             num_features,
             num_classes,
             LeHDCConfig(
-                dimension=dimension,
-                num_levels=id_levels,
-                epochs=epochs,
-                learning_rate=max(learning_rate, 0.05),
+                dimension=hyper["dimension"],
+                num_levels=hyper["id_levels"],
+                epochs=hyper["epochs"],
+                learning_rate=max(hyper["learning_rate"], 0.05),
                 seed=seed,
             ),
         )
@@ -178,9 +193,9 @@ def build_model(
             num_features,
             num_classes,
             OnlineHDConfig(
-                dimension=dimension,
-                epochs=epochs,
-                learning_rate=learning_rate,
+                dimension=hyper["dimension"],
+                epochs=hyper["epochs"],
+                learning_rate=hyper["learning_rate"],
                 seed=seed,
             ),
         )
@@ -250,17 +265,17 @@ class SweepSpec:
 
     models: Tuple[str, ...] = ("memhd",)
     datasets: Tuple[str, ...] = ("mnist",)
-    dimensions: Tuple[int, ...] = (128,)
-    columns: Tuple[int, ...] = (128,)
-    cluster_ratios: Tuple[float, ...] = (0.8,)
+    dimensions: Tuple[int, ...] = (MODEL_DEFAULTS["dimension"],)
+    columns: Tuple[int, ...] = (MODEL_DEFAULTS["columns"],)
+    cluster_ratios: Tuple[float, ...] = (MODEL_DEFAULTS["cluster_ratio"],)
     engines: Tuple[str, ...] = ("float",)
     bit_flip_probabilities: Tuple[float, ...] = (0.0,)
     adc_bits: Tuple[Optional[int], ...] = (None,)
-    scale: float = 0.02
-    epochs: int = 5
-    learning_rate: float = 0.05
-    id_levels: int = 32
-    init_method: str = "clustering"
+    scale: float = DEFAULT_SCALE
+    epochs: int = MODEL_DEFAULTS["epochs"]
+    learning_rate: float = MODEL_DEFAULTS["learning_rate"]
+    id_levels: int = MODEL_DEFAULTS["id_levels"]
+    init_method: str = MODEL_DEFAULTS["init_method"]
     seed: int = 0
     kind: str = "accuracy"
     serving_concurrency: Tuple[int, ...] = (8,)
@@ -547,14 +562,8 @@ def model_for_config(config: Dict[str, Any], model_seed: int):
         config["model"],
         dataset.num_features,
         dataset.num_classes,
-        dimension=config["dimension"],
-        columns=config.get("columns", 128),
-        epochs=config["epochs"],
-        learning_rate=config["learning_rate"],
-        cluster_ratio=config.get("cluster_ratio", 0.8),
-        init_method=config.get("init_method", "clustering"),
-        id_levels=config.get("id_levels", 32),
         seed=model_seed,
+        **{name: config[name] for name in MODEL_DEFAULTS if name in config},
     )
     return model, dataset
 

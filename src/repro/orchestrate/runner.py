@@ -199,7 +199,7 @@ def _execute_dataset(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _execute_train(payload: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.eval.sweep import build_model
+    from repro.eval.sweep import MODEL_DEFAULTS, build_model
     from repro.io.checkpoint import content_fingerprint
     from repro.io.registry import ArtifactRegistry
 
@@ -210,14 +210,8 @@ def _execute_train(payload: Dict[str, Any]) -> Dict[str, Any]:
         config["model"],
         ds.num_features,
         ds.num_classes,
-        dimension=config["dimension"],
-        columns=config["columns"],
-        epochs=config["epochs"],
-        learning_rate=config["learning_rate"],
-        cluster_ratio=config["cluster_ratio"],
-        init_method=config["init_method"],
-        id_levels=config["id_levels"],
         seed=config["seed"],
+        **{name: config[name] for name in MODEL_DEFAULTS},
     )
     started = time.perf_counter()
     history = model.fit(ds.train_features, ds.train_labels)

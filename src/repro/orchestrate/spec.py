@@ -41,6 +41,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.store import config_key
+from repro.eval.sweep import (
+    DEFAULT_SCALE,
+    MODEL_CHOICES,
+    MODEL_DEFAULTS,
+    SweepError,
+    SweepSpec,
+)
 from repro.hdc.engine import ENGINES
 
 try:  # pyyaml is a declared dependency, but degrade loudly, not weirdly.
@@ -69,21 +76,11 @@ _SEED = object()  # sentinel: default to the workflow-level seed
 _KIND_SCHEMAS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
     "dataset": (
         ("dataset",),
-        {"scale": 0.02, "seed": _SEED},
+        {"scale": DEFAULT_SCALE, "seed": _SEED},
     ),
     "train": (
         ("model", "dataset", "save"),
-        {
-            "scale": 0.02,
-            "seed": _SEED,
-            "dimension": 128,
-            "columns": 128,
-            "epochs": 5,
-            "learning_rate": 0.05,
-            "cluster_ratio": 0.8,
-            "init_method": "clustering",
-            "id_levels": 32,
-        },
+        {"scale": DEFAULT_SCALE, "seed": _SEED, **MODEL_DEFAULTS},
     ),
     "sweep": (
         ("spec",),
@@ -92,7 +89,7 @@ _KIND_SCHEMAS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
     "bench": (
         ("model", "dataset"),
         {
-            "scale": 0.02,
+            "scale": DEFAULT_SCALE,
             "seed": _SEED,
             "engines": ["float", "packed"],
             "batch_size": 256,
@@ -102,7 +99,7 @@ _KIND_SCHEMAS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
     "serve-smoke": (
         ("model", "dataset"),
         {
-            "scale": 0.02,
+            "scale": DEFAULT_SCALE,
             "seed": _SEED,
             "engine": "packed",
             "requests": 4,
@@ -167,8 +164,6 @@ def _validate_config(step_name: str, kind: str, config: Dict[str, Any]) -> None:
         if not isinstance(config["scale"], (int, float)) or config["scale"] <= 0:
             raise bad("scale must be a positive number")
     if kind == "train":
-        from repro.eval.sweep import MODEL_CHOICES
-
         if config["model"] not in MODEL_CHOICES:
             raise bad(
                 f"unknown model {config['model']!r}; choose from {MODEL_CHOICES}"
@@ -185,8 +180,6 @@ def _validate_config(step_name: str, kind: str, config: Dict[str, Any]) -> None:
             raise bad("save tag 'latest' is reserved for resolution")
         _check_name(tag, "artifact tag")
     if kind == "sweep":
-        from repro.eval.sweep import SweepError, SweepSpec
-
         if not isinstance(config["spec"], dict):
             raise bad("spec must be a mapping of SweepSpec fields")
         try:  # strict nested validation, then store the canonical form

@@ -7,10 +7,19 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import _int_list, _is_checkpoint_path, build_parser, main
+from repro.cli import (
+    _int_list,
+    _is_checkpoint_path,
+    _settings,
+    _spec_from_args,
+    build_parser,
+    main,
+)
+from repro.eval.sweep import MODEL_DEFAULTS, SweepSpec
 from repro.io.checkpoint import load_checkpoint, read_manifest
 from repro.io.registry import ArtifactRegistry
 from repro.runtime.config import ServeConfig
+from repro.runtime.online import OnlineConfig
 from repro.runtime.server import DRAIN_TIMEOUT_S, ModelServer
 from repro.runtime.workers import WorkerSupervisor
 
@@ -71,6 +80,91 @@ class TestParser:
         assert args.engine == "packed"
         assert args.batch_size == 1024
         assert args.workers == 1
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_model_defaults_are_model_defaults(self, command):
+        """Every hyperparameter is declared once, in MODEL_DEFAULTS."""
+        args = build_parser().parse_args([command])
+        for name, default in MODEL_DEFAULTS.items():
+            if (command, name) == ("train", "epochs"):
+                continue  # the one deliberate CLI departure, checked below
+            assert getattr(args, name) == default, name
+        assert build_parser().parse_args(["train"]).epochs == 20
+
+    def test_map_takes_no_sampling_options(self):
+        # The mapping analysis reads the dataset profile, not samples.
+        for flag in ("--scale", "--seed"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["map", flag, "1"])
+            assert excinfo.value.code == 2
+
+    def test_bare_sweep_run_is_the_default_spec(self):
+        """A bare `sweep run` expands the same grid as an empty --spec."""
+        for sub in ("run", "status"):
+            args = build_parser().parse_args(["sweep", sub])
+            assert _spec_from_args(args) == SweepSpec() == SweepSpec.from_dict({})
+
+    @pytest.mark.parametrize(
+        "flag, value, field, expected",
+        [
+            ("--models", "memhd,quanthd", "models", ("memhd", "quanthd")),
+            ("--datasets", "fmnist", "datasets", ("fmnist",)),
+            ("--dimensions", "32,64", "dimensions", (32, 64)),
+            ("--columns", "16", "columns", (16,)),
+            ("--engines", "float,packed", "engines", ("float", "packed")),
+            ("--cluster-ratios", "0.5", "cluster_ratios", (0.5,)),
+            ("--noise", "0,0.05", "bit_flip_probabilities", (0.0, 0.05)),
+            ("--adc-bits", "4,ideal", "adc_bits", (4, None)),
+            ("--scale", "0.01", "scale", 0.01),
+            ("--epochs", "2", "epochs", 2),
+            ("--learning-rate", "0.1", "learning_rate", 0.1),
+            ("--id-levels", "8", "id_levels", 8),
+            ("--init", "random", "init_method", "random"),
+            ("--seed", "9", "seed", 9),
+            ("--kind", "serving-load", "kind", "serving-load"),
+            ("--serving-concurrency", "2,4", "serving_concurrency", (2, 4)),
+            ("--serving-workers", "2", "serving_workers", (2,)),
+            ("--serving-batch", "4", "serving_batch", (4,)),
+            ("--serving-modes", "closed,open", "serving_modes", ("closed", "open")),
+            ("--serving-requests", "8", "serving_requests", 8),
+            ("--serving-rate", "5", "serving_rate", 5.0),
+        ],
+    )
+    def test_sweep_flag_sets_its_spec_field(self, flag, value, field, expected):
+        argv = ["sweep", "run", flag, value]
+        if field == "serving_modes":
+            argv += ["--serving-rate", "5"]  # open loop needs a rate
+        spec = _spec_from_args(build_parser().parse_args(argv))
+        assert getattr(spec, field) == expected != getattr(SweepSpec(), field)
+
+    def test_sweep_flags_cover_every_spec_field(self):
+        args = build_parser().parse_args(["sweep", "run"])
+        for field in dataclasses.fields(SweepSpec):
+            assert hasattr(args, field.name), field.name
+
+    def test_bare_online_flags_are_online_config(self):
+        args = build_parser().parse_args(["serve", "--models", "m", "--online"])
+        assert _settings(OnlineConfig, args) == OnlineConfig()
+
+    @pytest.mark.parametrize(
+        "flag, value, field, expected",
+        [
+            ("--promote-threshold", "0.5", "promote_threshold", 0.5),
+            ("--promote-margin", "0.1", "promote_margin", 0.1),
+            ("--min-feedback", "8", "min_feedback", 8),
+            ("--feedback-buffer", "64", "buffer_size", 64),
+            ("--shadow-interval", "0.05", "interval_s", 0.05),
+            ("--eval-fraction", "0.125", "eval_fraction", 0.125),
+            ("--eval-window", "16", "eval_window", 16),
+            ("--online-lr", "0.5", "learning_rate", 0.5),
+            ("--online-results", "drift.jsonl", "results_path", "drift.jsonl"),
+        ],
+    )
+    def test_online_flag_sets_its_config_field(self, flag, value, field, expected):
+        argv = ["serve", "--models", "m", "--online", flag, value]
+        online = _settings(OnlineConfig, build_parser().parse_args(argv))
+        assert expected != getattr(OnlineConfig(), field)
+        assert online == dataclasses.replace(OnlineConfig(), **{field: expected})
 
     def test_predict_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):

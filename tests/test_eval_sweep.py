@@ -14,9 +14,11 @@ import pytest
 
 from repro.eval.store import ResultStore, config_key
 from repro.eval.sweep import (
+    MODEL_DEFAULTS,
     SweepError,
     SweepSpec,
     best_record,
+    build_model,
     derive_job_seed,
     execute_job,
     run_sweep,
@@ -37,6 +39,18 @@ TINY = SweepSpec(
     epochs=1,
     seed=3,
 )
+
+
+class TestBuildModel:
+    def test_omitted_hyperparameters_take_model_defaults(self):
+        model = build_model("memhd", 8, 2, seed=0, epochs=1)
+        assert model.config.epochs == 1
+        assert model.config.dimension == MODEL_DEFAULTS["dimension"]
+        assert model.config.init_method == MODEL_DEFAULTS["init_method"]
+
+    def test_rejects_unknown_hyperparameter(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            build_model("memhd", 8, 2, seed=0, dimensions=64)
 
 
 class TestSweepSpec:

@@ -23,6 +23,7 @@ from repro.orchestrate import (
     run_workflow,
     workflow_status,
 )
+from repro.orchestrate import runner
 
 pytest.importorskip("yaml")
 
@@ -30,6 +31,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 STATUS_GOLDEN = GOLDEN_DIR / "workflow_status.txt"
 STATUS_CHANGED_GOLDEN = GOLDEN_DIR / "workflow_status_changed.txt"
 REPORT_GOLDEN = GOLDEN_DIR / "workflow_report.md"
+PINNED_REV = "0123456789abcdef0123456789abcdef01234567"
 
 
 def base_payload():
@@ -102,14 +104,17 @@ def rendered(tmp_path_factory):
     base = WorkflowSpec.from_dict(base_payload())
     perturbed = WorkflowSpec.from_dict(perturbed_payload())
 
-    result = run_workflow(base, workdir)
-    assert result.ok
-    status_clean = workflow_status(base, workdir)
-    # Before rerunning: the perturbed spec sees stale steps ("what changed").
-    status_changed = workflow_status(perturbed, workdir)
-    result = run_workflow(perturbed, workdir)
-    assert result.ok
-    report = build_report(perturbed, workdir, fmt="markdown")
+    with pytest.MonkeyPatch.context() as patch:
+        # A fixed revision, so the pins hold in an export without .git too.
+        patch.setattr(runner, "current_git_rev", lambda: PINNED_REV)
+        result = run_workflow(base, workdir)
+        assert result.ok
+        status_clean = workflow_status(base, workdir)
+        # Before rerunning: the perturbed spec sees stale steps ("what changed").
+        status_changed = workflow_status(perturbed, workdir)
+        result = run_workflow(perturbed, workdir)
+        assert result.ok
+        report = build_report(perturbed, workdir, fmt="markdown")
     return {
         "workdir": workdir,
         "status_clean": scrub(status_clean, workdir),

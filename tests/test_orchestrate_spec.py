@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.eval.sweep import DEFAULT_SCALE, MODEL_DEFAULTS
 from repro.orchestrate import (
     OrchestrationError,
     WorkflowSpec,
@@ -51,6 +52,20 @@ def test_parse_minimal_applies_defaults():
     assert step.config["scale"] == 0.02  # schema default
     assert step.config["seed"] == 3  # workflow seed substituted
     assert step.needs == ()
+
+
+def test_train_step_defaults_are_model_defaults():
+    payload = minimal_payload()
+    payload["steps"].append(train_step())
+    config = WorkflowSpec.from_dict(payload).step("fit").config
+    assert config == {
+        "model": "memhd",
+        "dataset": "mnist",
+        "save": "tiny-model:wf",
+        "seed": 3,
+        "scale": DEFAULT_SCALE,
+        **MODEL_DEFAULTS,
+    }
 
 
 def test_step_seed_overrides_workflow_seed():

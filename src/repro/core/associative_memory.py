@@ -30,6 +30,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.core.quantization import mean_threshold_binarize, normalize_rows
+from repro.hdc import _packed_kernels as _kernels
 from repro.hdc.engine import BinaryAMEngine
 from repro.hdc.packed import PackedAM, PackedVectors
 from repro.hdc.pruned import PrunedAM
@@ -212,8 +213,9 @@ class MultiCentroidAM:
         self, queries: Union[np.ndarray, PackedVectors], packed: bool = False
     ) -> np.ndarray:
         """Index of the winning AM row for each query."""
-        scores = np.atleast_2d(self.scores(queries, packed=packed))
-        return np.argmax(scores, axis=1)
+        if packed:
+            return self.packed().predict_columns(queries)
+        return np.argmax(np.atleast_2d(self.scores(queries)), axis=1)
 
     def predict(
         self, queries: Union[np.ndarray, PackedVectors], packed: bool = False
@@ -256,11 +258,13 @@ class MultiCentroidAM:
         ``subtract_rows[i]`` receives ``- learning_rate * subtract_vectors[i]``.
         Repeated row indices accumulate with ``np.add.at`` semantics, bit
         for bit: every row adds its updates left to right, all additions
-        in order first and then all subtractions in order.  The updates
-        are grouped by row (a stable sort), so each touched row costs one
-        ordered reduction instead of one scattered add per update.  The
-        binary AM is *not* refreshed here; call :meth:`refresh_binary` at
-        the configured interval.
+        in order first and then all subtractions in order.  The native
+        backend runs exactly that order in one pass
+        (:func:`repro.hdc._packed_kernels.ordered_accumulate`); the numpy
+        backend groups the updates by row (a stable sort), so each touched
+        row costs one ordered reduction instead of one scattered add per
+        update.  The binary AM is *not* refreshed here; call
+        :meth:`refresh_binary` at the configured interval.
         """
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
@@ -272,6 +276,23 @@ class MultiCentroidAM:
         )
         rows = np.concatenate([add_rows, subtract_rows])
         if rows.size == 0:
+            return
+        fp = self.fp_memory
+        if (
+            _kernels.backend_name() == "native"
+            and fp.dtype == np.float64
+            and fp.flags.c_contiguous
+            and fp.flags.writeable
+        ):
+            size = fp.shape[0]
+            if rows.min() < -size or rows.max() >= size:
+                raise IndexError(f"AM rows must lie in [-{size}, {size})")
+            # As in np.add.at, a negative row counts from the end.
+            add_rows, subtract_rows = add_rows % size, subtract_rows % size
+            _kernels.ordered_accumulate(fp, add_rows, add_vectors, learning_rate)
+            _kernels.ordered_accumulate(
+                fp, subtract_rows, subtract_vectors, -learning_rate
+            )
             return
         # Stable: each row's additions keep their order and precede its
         # subtractions, which keep theirs -- np.add.at's order.

@@ -102,11 +102,10 @@ class OnlineMEMHD:
 
         queries = self.model.encode_binary(x)
         packed = pack_binary(queries, validate=False)
-        scores = self.am.scores(packed, packed=True)
-        winners = np.argmax(scores, axis=1)
+        winners, true_targets = self.am.packed().search(packed, y)
         before = accuracy(self.am.column_classes[winners], y)
         updates = quantization_aware_step(
-            self.am, queries, y, scores, winners, self.learning_rate
+            self.am, queries, y, winners, true_targets, self.learning_rate
         )
         after = before
         if refresh:

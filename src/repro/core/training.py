@@ -22,21 +22,27 @@ binary memory, the per-sample loop vectorizes into batched numpy updates
 without changing the algorithm's semantics.  Two more facts make the loop
 cheap while keeping it bit-identical to the per-sample description:
 
-* **One packed scoring pass per binary memory.**  The ``{0, 1}`` training
-  queries are packed once per :meth:`QuantizationAwareTrainer.train` call
-  and scored with the popcount engine, whose exact integer dot products
-  have the same argmaxes as the float path.  A score matrix is kept for as
-  long as its binary memory is deployed: the pass that measures an epoch's
-  training accuracy after a refresh is also the next epoch's Eq. (4)/(5)
-  input, and an epoch that does not refresh reuses it outright.  ``E``
-  epochs refreshing every epoch therefore cost ``E + 1`` passes.
-* **Grouped, ordered Eq. (6) updates.**
+* **One fused search per binary memory.**  Of each sample's row of
+  similarities, an epoch uses two entries: the winning row (Eq. (4)) and
+  the best row of the true class (Eq. (5)).  The ``{0, 1}`` training
+  queries are packed once per :meth:`QuantizationAwareTrainer.train`
+  call, and :meth:`~repro.hdc.packed.PackedAM.search` of ``am.packed()``
+  returns exactly those two rows per query, with ``np.argmax``'s
+  lowest-row tie rule.  On the native backend no ``(n, C)`` score matrix
+  is built.  Its popcounts are exact integers, so both picks equal the
+  float path's.  A search is kept for as long as its binary memory is
+  deployed: the search that measures an epoch's training accuracy after a
+  refresh is also the next epoch's Eq. (4)/(5) input, and an epoch that
+  does not refresh reuses it outright.  ``E`` epochs refreshing every
+  epoch therefore cost ``E + 1`` searches.
+* **Ordered Eq. (6) updates.**
   :meth:`~repro.core.associative_memory.MultiCentroidAM.apply_updates`
-  applies each touched row's updates as one reduction in ``np.add.at``'s
-  order, so the FP memory matches a sample-by-sample accumulation bit for
-  bit.
+  adds every update in ``np.add.at``'s order -- a native pass over the
+  updates on the native backend, one grouped reduction per touched row
+  on the numpy backend -- so the FP memory matches a sample-by-sample
+  accumulation bit for bit.
 
-:func:`quantization_aware_step` is steps 1--3 for one scored batch; the
+:func:`quantization_aware_step` is steps 2--3 for one searched batch; the
 trainer's epochs and :meth:`repro.core.online.OnlineMEMHD.partial_fit` both
 run it.
 """
@@ -73,12 +79,12 @@ def quantization_aware_step(
     am: MultiCentroidAM,
     queries: np.ndarray,
     labels: np.ndarray,
-    scores: np.ndarray,
     winners: np.ndarray,
+    true_targets: np.ndarray,
     learning_rate: float,
     order: Optional[np.ndarray] = None,
 ) -> int:
-    """Steps 1--3 (Eqs. (4)--(6)) for a batch scored against ``am``.
+    """Steps 2--3 (Eqs. (4)--(6)) for a batch searched against ``am``.
 
     Parameters
     ----------
@@ -88,9 +94,11 @@ def quantization_aware_step(
         ``(n, D)`` ``{0, 1}`` query hypervectors.
     labels:
         ``(n,)`` true labels.
-    scores / winners:
-        ``(n, C)`` similarities of ``queries`` against ``am``'s current
-        binary memory and their row-wise argmax (the searched rows).
+    winners / true_targets:
+        The ``(best, own)`` rows that ``am.packed().search(queries,
+        labels)`` returns for ``am``'s current binary memory: each query's
+        winning row (Eq. (4)) and its best row within its true class
+        (Eq. (5)).
     learning_rate:
         Eq. (6) step ``alpha``.
     order:
@@ -106,19 +114,10 @@ def quantization_aware_step(
     wrong = np.flatnonzero(wrong_mask) if order is None else order[wrong_mask[order]]
     if wrong.size == 0:
         return 0
-    # Eq. (5): the most similar row within each sample's true class, one
-    # class at a time (lowest row index on ties, like a masked argmax).
-    wrong_labels = labels[wrong]
-    true_targets = np.empty(wrong.size, dtype=np.int64)
-    for label in np.unique(wrong_labels):
-        picked = np.flatnonzero(wrong_labels == label)
-        own = am.columns_of_class(int(label))
-        best = np.argmax(scores[wrong[picked][:, None], own], axis=1)
-        true_targets[picked] = own[best]
-    # Eq. (6): reinforce it and push the wrongly winning row (Eq. (4)) away.
+    # Eq. (6): reinforce the true-class row and push the winner away.
     vectors = queries[wrong]
     am.apply_updates(
-        add_rows=true_targets,
+        add_rows=true_targets[wrong],
         add_vectors=vectors,
         subtract_rows=winners[wrong],
         subtract_vectors=vectors,
@@ -221,9 +220,8 @@ class QuantizationAwareTrainer:
             val_labels = np.asarray(validation[1])
         generator = rng if rng is not None else np.random.default_rng()
 
-        # The scores of the deployed binary memory; rescored on refresh only.
-        scores = am.scores(packed, packed=True)
-        winners = np.argmax(scores, axis=1)
+        # The search of the deployed binary memory; repeated on refresh only.
+        winners, true_targets = am.packed().search(packed, y)
         history = TrainingHistory()
         history.initial_accuracy = accuracy(am.column_classes[winners], y)
 
@@ -237,12 +235,11 @@ class QuantizationAwareTrainer:
                 else np.arange(queries.shape[0])
             )
             mispredictions = quantization_aware_step(
-                am, queries, y, scores, winners, self.learning_rate, order
+                am, queries, y, winners, true_targets, self.learning_rate, order
             )
             if epoch % self.binary_update_interval == 0:
                 am.refresh_binary()
-                scores = am.scores(packed, packed=True)
-                winners = np.argmax(scores, axis=1)
+                winners, true_targets = am.packed().search(packed, y)
 
             train_acc = accuracy(am.column_classes[winners], y)
             history.updates.append(mispredictions)

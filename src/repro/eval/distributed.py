@@ -22,7 +22,10 @@ and CI, NFS or similar for real multi-host pools):
 * **reclaim** -- takeover is ``os.rename`` of the stale lease to a
   unique tombstone: rename is atomic, so of N racing reclaimers exactly
   one wins (the rest get ``FileNotFoundError``), and the winner then
-  re-runs the ordinary claim.
+  re-runs the ordinary claim and removes the tombstone.  If another
+  worker's ordinary claim lands between the rename and that claim, the
+  tombstone stays for it: finding one tells it that it took over a dead
+  worker's cell, and it logs the claim as a reclaim.
 * **release** -- the result is appended to the shared store *first*,
   then the lease is unlinked.  A crash between the two is safe: the next
   claimant re-checks the store after claiming and releases immediately.
@@ -45,6 +48,7 @@ property tests drive the whole protocol over a simulated clock.
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
 import multiprocessing
 import os
@@ -197,10 +201,16 @@ class LeaseDir:
         Returns ``"claimed"`` (fresh cell), ``"reclaimed"`` (took over an
         expired/torn lease) or ``None`` (someone else owns it, or we lost
         a race).  Never blocks.
+
+        A reclaim renames the expired lease aside (a tombstone) and then
+        creates its own.  A plain create that lands in that gap is also a
+        takeover of the dead worker's cell; it finds the tombstone, which
+        the renamer leaves when its create fails, and reports
+        ``"reclaimed"``, so the dead worker's lease is counted as expired.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         if self._create(key):
-            return "claimed"
+            return "reclaimed" if self._clear_tombstones(key) else "claimed"
         state = self.read(key)
         if state is None:
             # Owner released between our failed create and the read; the
@@ -222,13 +232,21 @@ class LeaseDir:
             os.rename(path, tombstone)
         except FileNotFoundError:
             return None  # lost the reclaim race (or the owner released)
-        try:
-            os.unlink(tombstone)
-        except FileNotFoundError:  # pragma: no cover - nothing else removes it
-            pass
         if self._create(key):
+            self._clear_tombstones(key)
             return "reclaimed"
-        return None  # a third worker claimed between our rename and create
+        # A third worker claimed between our rename and create; the
+        # tombstone stays for it to find.
+        return None
+
+    def _clear_tombstones(self, key: str) -> bool:
+        """Remove ``key``'s renamed-aside leases; True if there were any."""
+        pattern = glob.escape(self.lease_path(key).name) + ".stale.*"
+        found = False
+        for tombstone in self.root.glob(pattern):
+            tombstone.unlink(missing_ok=True)
+            found = True
+        return found
 
     def _create(self, key: str) -> bool:
         path = self.lease_path(key)

@@ -109,7 +109,9 @@ def build_model(model: str, num_features: int, num_classes: int, *, seed: int, *
     ``repro predict``, workflow ``train`` steps and the sweep workers, so
     a sweep cell trains exactly the model the CLI would.  ``hyper`` takes
     any of the :data:`MODEL_DEFAULTS` names; omitted ones take their
-    default and any other name is rejected.
+    default and any other name is rejected.  Every family gets the values
+    as given, so a sweep record states the hyperparameters its model was
+    trained with.
     """
     unknown = sorted(set(hyper) - set(MODEL_DEFAULTS))
     if unknown:
@@ -168,7 +170,7 @@ def build_model(model: str, num_features: int, num_classes: int, *, seed: int, *
                 dimension=hyper["dimension"],
                 num_levels=hyper["id_levels"],
                 num_models=8,
-                epochs=max(1, min(hyper["epochs"], 3)),
+                epochs=hyper["epochs"],
                 seed=seed,
             ),
         )
@@ -182,7 +184,7 @@ def build_model(model: str, num_features: int, num_classes: int, *, seed: int, *
                 dimension=hyper["dimension"],
                 num_levels=hyper["id_levels"],
                 epochs=hyper["epochs"],
-                learning_rate=max(hyper["learning_rate"], 0.05),
+                learning_rate=hyper["learning_rate"],
                 seed=seed,
             ),
         )

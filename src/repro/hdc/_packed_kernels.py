@@ -23,6 +23,17 @@ Two interchangeable backends compute the ``(n, m)`` pair matrix of
     sandboxed filesystem, exotic platform) silently falls back to the
     numpy backend.
 
+Two more kernels serve associative search and training.
+:class:`RowSearch` is the fused search: for each query, the first best row
+(``np.argmax``'s tie rule), and optionally the first best row of the
+query's own class, without the ``(n, m)`` score matrix.  It sweeps a
+word-major copy of the references, built once per reference set.
+:func:`ordered_accumulate` is the Eq. (6) update, added in
+``np.add.at``'s order.  The library is built with ``-ffp-contract=off``,
+so every product and sum is rounded as numpy rounds it.  The numpy
+backend reduces the pair counts for the search; ``ordered_accumulate``
+is native only, and its callers keep a numpy path.
+
 The same library carries the exact-sign encoder's ``sign_pack`` kernel
 (:class:`SignPacker`): one pass over a row of float32 projection sums
 that certifies each sign against an error bound, recomputes the
@@ -67,6 +78,11 @@ _NUMPY_BLOCK_ROWS = 16
 #: Compiler-flag tiers probed in order under ``REPRO_PACKED_TIER=auto``.
 TIERS = ("native", "avx2", "portable")
 
+#: Flags of every tier.  ``-ffp-contract=off`` keeps each product and
+#: sum separately rounded, as numpy rounds them: ``ordered_accumulate``
+#: must not fuse ``t += scale * v`` into an FMA.
+_COMMON_FLAGS = ["-O3", "-funroll-loops", "-ffp-contract=off", "-shared", "-fPIC"]
+
 _TIER_FLAGS = {
     "native": ["-march=native"],
     "avx2": ["-mavx2"],
@@ -104,6 +120,95 @@ void pair_popcount(const uint64_t* q, const uint64_t* r, int64_t* out,
                 }
                 oi[j] = (int64_t)acc;
             }
+        }
+    }
+}
+
+/* Fused associative search over word-major references: word w of row j
+ * sits at rt[w * m + j], so each query word meets every row in one
+ * contiguous, vectorizable sweep over the query's m counts.  best[i] is
+ * the first row with the highest popcount(q AND r) (OP_AND) or the lowest
+ * popcount(q XOR r) (OP_XOR): np.argmax's tie rule on the score matrix,
+ * which is never built.  One reduction finds it, over keys that order by
+ * count and then by lower row: the largest (count << 32) | ~row for
+ * OP_AND, the smallest (count << 32) | row for OP_XOR.  When labels is
+ * not NULL, own[i] is the same search over the rows of class labels[i],
+ * listed ascending in class_rows[class_start[c] .. class_start[c + 1]];
+ * it is -1 when labels[i] is not in [0, classes) or owns no row.  counts
+ * is caller scratch for m entries. */
+static void query_counts(const uint64_t* restrict qi, const uint64_t* restrict rt,
+                         uint64_t* restrict counts, size_t m, size_t words, int op) {
+    if (op == OP_AND) {
+        for (size_t j = 0; j < m; ++j)
+            counts[j] = (uint64_t)__builtin_popcountll(qi[0] & rt[j]);
+        for (size_t w = 1; w < words; ++w)
+            for (size_t j = 0; j < m; ++j)
+                counts[j] += (uint64_t)__builtin_popcountll(qi[w] & rt[w * m + j]);
+    } else {
+        for (size_t j = 0; j < m; ++j)
+            counts[j] = (uint64_t)__builtin_popcountll(qi[0] ^ rt[j]);
+        for (size_t w = 1; w < words; ++w)
+            for (size_t j = 0; j < m; ++j)
+                counts[j] += (uint64_t)__builtin_popcountll(qi[w] ^ rt[w * m + j]);
+    }
+}
+
+static int64_t first_best(const uint64_t* counts, size_t m, int op) {
+    if (op == OP_AND) {
+        uint64_t top = 0;
+        for (size_t j = 0; j < m; ++j) {
+            const uint64_t key = (counts[j] << 32) | (uint32_t)~(uint32_t)j;
+            top = key > top ? key : top;
+        }
+        return (int64_t)(uint32_t)~(uint32_t)top;
+    }
+    uint64_t low = ~(uint64_t)0;
+    for (size_t j = 0; j < m; ++j) {
+        const uint64_t key = (counts[j] << 32) | (uint32_t)j;
+        low = key < low ? key : low;
+    }
+    return (int64_t)(uint32_t)low;
+}
+
+void best_rows(const uint64_t* q, const uint64_t* rt, uint64_t* counts,
+               const int64_t* class_start, const int64_t* class_rows,
+               const int64_t* labels, int64_t* best, int64_t* own,
+               size_t n, size_t m, size_t words, size_t classes, int op) {
+    for (size_t i = 0; i < n; ++i) {
+        query_counts(q + i * words, rt, counts, m, words, op);
+        best[i] = first_best(counts, m, op);
+        if (labels == NULL)
+            continue;
+        const int64_t c = labels[i];
+        int64_t pick = -1;
+        if (c >= 0 && (size_t)c < classes) {
+            for (int64_t p = class_start[c]; p < class_start[c + 1]; ++p) {
+                const int64_t j = class_rows[p];
+                if (pick < 0 || (op == OP_AND ? counts[j] > counts[pick]
+                                              : counts[j] < counts[pick]))
+                    pick = j;
+            }
+        }
+        own[i] = pick;
+    }
+}
+
+/* Eq. (6) accumulate in np.add.at's order: target row rows[i] (length
+ * dim) += scale * vectors[i], strictly for i = 0, 1, ..., one rounding
+ * per product and one per sum (the build disables FMA contraction).
+ * elem names the vectors' type: 0 double, 1 int8. */
+void ordered_accumulate(double* target, const int64_t* rows, const void* vectors,
+                        size_t n, size_t dim, double scale, int elem) {
+    for (size_t i = 0; i < n; ++i) {
+        double* t = target + (size_t)rows[i] * dim;
+        if (elem == 0) {
+            const double* v = (const double*)vectors + i * dim;
+            for (size_t d = 0; d < dim; ++d)
+                t[d] += scale * v[d];
+        } else {
+            const int8_t* v = (const int8_t*)vectors + i * dim;
+            for (size_t d = 0; d < dim; ++d)
+                t[d] += scale * (double)v[d];
         }
     }
 }
@@ -342,7 +447,9 @@ def _cache_dir(digest: str) -> str:
 
 def _compile_tier(compiler: str, tier: str) -> Optional[str]:
     """Compile one flag tier into its cached shared object; None on failure."""
-    digest = hashlib.sha256((_C_SOURCE + compiler + tier).encode()).hexdigest()
+    flags = [*_COMMON_FLAGS, *_TIER_FLAGS[tier]]
+    key = _C_SOURCE + compiler + " ".join(flags)
+    digest = hashlib.sha256(key.encode()).hexdigest()
     directory = _cache_dir(digest)
     library = os.path.join(directory, "kernels.so")
     if os.path.exists(library):
@@ -353,17 +460,7 @@ def _compile_tier(compiler: str, tier: str) -> Optional[str]:
         with open(source, "w") as handle:
             handle.write(_C_SOURCE)
         scratch = library + f".tmp{os.getpid()}"
-        command = [
-            compiler,
-            "-O3",
-            "-funroll-loops",
-            "-shared",
-            "-fPIC",
-            *_TIER_FLAGS[tier],
-            "-o",
-            scratch,
-            source,
-        ]
+        command = [compiler, *flags, "-o", scratch, source]
         result = subprocess.run(command, capture_output=True, timeout=120, check=False)
         if result.returncode == 0:
             os.replace(scratch, library)  # atomic against concurrent builds
@@ -404,11 +501,16 @@ def _load_native() -> Optional[ctypes.CDLL]:
         except OSError:
             return None
         pointer, size_t, c_int = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int
+        double = ctypes.c_double
         lib.pair_popcount.argtypes = [pointer] * 3 + [size_t] * 3 + [c_int]
         lib.pair_popcount.restype = None
+        lib.best_rows.argtypes = [pointer] * 8 + [size_t] * 4 + [c_int]
+        lib.best_rows.restype = None
+        lib.ordered_accumulate.argtypes = [pointer] * 3 + [size_t] * 2 + [double, c_int]
+        lib.ordered_accumulate.restype = None
         lib.sparse_scan.argtypes = [pointer] * 8 + [size_t] * 2 + [c_int]
         lib.sparse_scan.restype = None
-        lib.sign_pack.argtypes = [pointer] * 4 + [size_t] * 4 + [ctypes.c_double] * 5
+        lib.sign_pack.argtypes = [pointer] * 4 + [size_t] * 4 + [double] * 5
         lib.sign_pack.restype = ctypes.c_int64
         _build_info = info
         _native_lib = lib
@@ -466,6 +568,149 @@ def and_popcount(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
 def xor_popcount(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """``out[i, j] = popcount(queries[i] XOR references[j])`` over words."""
     return _pair_popcount(queries, references, OP_XOR)
+
+
+class RowSearch:
+    """Fused associative search over one packed reference set.
+
+    For each packed query, :meth:`__call__` returns the first row with the
+    highest ``popcount(q AND r)`` (``op`` :data:`OP_AND`) or the lowest
+    ``popcount(q XOR r)`` (:data:`OP_XOR`) -- ``np.argmax``'s tie rule on
+    the dot similarities -- and, given labels, the first such row among
+    those whose ``classes`` entry equals the query's label.  The native
+    kernel never materializes the ``(n, m)`` score matrix; the numpy
+    backend reduces the pair counts block by block.
+
+    ``references`` is the ``(m, W)`` row-major word matrix; the word-major
+    ``(W, m)`` copy the native kernel sweeps and the rows grouped by class
+    are built here, once, so a call only pays for its own queries.
+    """
+
+    #: Queries per numpy-backend block: bounds the pair-count block to
+    #: ``_SEARCH_BLOCK_ROWS * m`` entries.
+    _SEARCH_BLOCK_ROWS = 1024
+
+    def __init__(
+        self, references: np.ndarray, classes: np.ndarray, num_classes: int, op: int
+    ) -> None:
+        if references.shape[0] >= 2**32 or references.shape[1] >= 2**26:
+            raise ValueError("the search keys hold rows and counts below 2**32")
+        self.references = references
+        self.transposed = np.ascontiguousarray(references.T)
+        self.classes = np.asarray(classes, dtype=np.int64)
+        self.op = op
+        #: Rows of class ``c`` in ascending order are
+        #: ``class_rows[class_start[c] : class_start[c + 1]]``.
+        self.class_rows = np.argsort(self.classes, kind="stable")
+        sizes = np.bincount(self.classes, minlength=num_classes)
+        self.class_start = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        self._bind()
+
+    def _bind(self) -> None:
+        self._addresses = [
+            _address(array)
+            for array in (self.transposed, self.class_start, self.class_rows)
+        ]
+
+    def __getstate__(self):
+        # Addresses name this process's copies of the arrays: a pickled
+        # or copied search binds its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_addresses"}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._bind()
+
+    def __call__(
+        self, queries: np.ndarray, labels: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(best, own)`` row indices of ``(n, W)`` packed queries.
+
+        ``own`` is None without ``labels``; a label outside the classes
+        or owning no row raises :class:`ValueError`.
+        """
+        _check_operands(queries, self.references)
+        n, m = queries.shape[0], self.references.shape[0]
+        if m == 0 and n:
+            raise ValueError("cannot search an empty reference set")
+        own = None
+        if labels is not None:
+            labels = np.ascontiguousarray(labels, dtype=np.int64)
+            if labels.shape != (n,):
+                raise ValueError(f"expected {n} labels, got shape {labels.shape}")
+            own = np.empty(n, dtype=np.int64)
+        best = np.empty(n, dtype=np.int64)
+        if n and backend_name() == "native" and queries.shape[1]:
+            q = np.ascontiguousarray(queries)
+            counts = np.empty(m, dtype=np.uint64)
+            _native_lib.best_rows(
+                _address(q),
+                self._addresses[0],
+                _address(counts),
+                *self._addresses[1:],
+                None if labels is None else _address(labels),
+                _address(best),
+                None if own is None else _address(own),
+                n,
+                m,
+                q.shape[1],
+                self.class_start.size - 1,
+                self.op,
+            )
+        elif n:
+            self._numpy_search(queries, labels, best, own)
+        if own is not None and (own < 0).any():
+            missing = sorted(set(labels[own < 0].tolist()))
+            raise ValueError(f"no reference row belongs to label(s) {missing}")
+        return best, own
+
+    def _numpy_search(self, queries, labels, best, own) -> None:
+        pick = np.argmax if self.op == OP_AND else np.argmin
+        # A row outside the label's class never wins the masked search.
+        outside = -1 if self.op == OP_AND else np.iinfo(np.int64).max
+        for start in range(0, queries.shape[0], self._SEARCH_BLOCK_ROWS):
+            block = slice(start, start + self._SEARCH_BLOCK_ROWS)
+            counts = _pair_popcount(queries[block], self.references, self.op)
+            best[block] = pick(counts, axis=1)
+            if own is not None:
+                mine = self.classes[None, :] == labels[block, None]
+                rows = pick(np.where(mine, counts, outside), axis=1)
+                own[block] = np.where(mine.any(axis=1), rows, -1)
+
+
+def ordered_accumulate(
+    target: np.ndarray, rows: np.ndarray, vectors: np.ndarray, scale: float
+) -> None:
+    """``target[rows[i]] += scale * vectors[i]`` for ``i = 0, 1, ...`` in order.
+
+    Native backend only: every product ``scale * vectors[i]`` is rounded
+    to float64 and added in index order, which is ``np.add.at(target,
+    rows, scale * vectors)`` bit for bit.  ``target`` is a writable
+    C-contiguous float64 ``(C, D)`` matrix and ``rows`` must lie in
+    ``[0, C)``; ``vectors`` is ``(len(rows), D)``.  int8 vectors (the
+    ``{0, 1}`` encodings) are read as they are, any other dtype is
+    converted to float64 first (exactly what numpy's float64 product does).
+    """
+    if backend_name() != "native":
+        raise RuntimeError("ordered_accumulate requires the native kernel backend")
+    if not (
+        target.dtype == np.float64
+        and target.flags.c_contiguous
+        and target.flags.writeable
+    ):
+        raise ValueError("target must be a writable C-contiguous float64 matrix")
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    n, dim = rows.size, target.shape[1]
+    if vectors.shape != (n, dim):
+        raise ValueError(f"vectors must be ({n}, {dim}), got {vectors.shape}")
+    if n and (rows.min() < 0 or rows.max() >= target.shape[0]):
+        raise IndexError(f"rows must lie in [0, {target.shape[0]})")
+    elem = int(vectors.dtype == np.int8)
+    v = np.ascontiguousarray(vectors, dtype=np.int8 if elem else np.float64)
+    if n and dim:
+        _native_lib.ordered_accumulate(
+            _address(target), _address(rows), _address(v), n, dim, float(scale), elem
+        )
 
 
 def sparse_scan_available() -> bool:

@@ -29,7 +29,7 @@ storage than the ``int8`` binary memory (64x smaller than a float64 AM).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -226,6 +226,10 @@ class PackedAM:
             raise ValueError(
                 "num_classes is smaller than the largest label in column_classes"
             )
+        bipolar = memory.alphabet == BIPOLAR_ALPHABET
+        op = _kernels.OP_XOR if bipolar else _kernels.OP_AND
+        #: The fused search, with its word-major copy of the memory.
+        self._search = _kernels.RowSearch(memory.words, classes, self.num_classes, op)
 
     @classmethod
     def from_binary_memory(
@@ -307,6 +311,7 @@ class PackedAM:
                     f"query dimension {queries.dimension} does not match AM "
                     f"dimension {self.dimension}"
                 )
+            _check_pair(queries, self.memory)  # the alphabets must match too
             return queries, False
         arr = np.asarray(queries)
         squeeze = arr.ndim == 1
@@ -331,9 +336,26 @@ class PackedAM:
         sims = packed_dot_similarity(packed, self.memory)
         return sims[0] if squeeze else sims
 
+    def search(
+        self,
+        queries: Union[np.ndarray, PackedVectors],
+        labels: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Winning rows, and each query's best row of its own class.
+
+        Returns ``(best, own)``: ``best[i]`` is the first row with the
+        highest similarity to query ``i`` (``np.argmax``'s tie rule on
+        :meth:`scores`), and with ``labels``, ``own[i]`` is the first best
+        row among those of class ``labels[i]`` (None without labels).  No
+        ``(n, C)`` score matrix is built on the native backend.  A label
+        that owns no row raises :class:`ValueError`.
+        """
+        packed, _ = self._pack_queries(queries)
+        return self._search(packed.words, labels)
+
     def predict_columns(self, queries: Union[np.ndarray, PackedVectors]) -> np.ndarray:
         """Index of the winning AM row for each query (lowest-index ties)."""
-        return np.argmax(np.atleast_2d(self.scores(queries)), axis=1)
+        return self.search(queries)[0]
 
     def predict(self, queries: Union[np.ndarray, PackedVectors]) -> np.ndarray:
         """Predicted class labels (the class of the winning row)."""

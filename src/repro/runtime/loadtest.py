@@ -12,11 +12,15 @@ Two standard modes:
 * **closed loop** (default) -- ``concurrency`` workers each keep exactly
   one request in flight, back to back.  Measures the server's saturation
   throughput; latency is response time under full load.
-* **open loop** -- requests start on a fixed global schedule of ``rate``
-  requests/second regardless of completions (workers pace themselves
-  against a shared arrival clock).  Measures behaviour under an offered
-  load, surfacing queueing delay and 429 shedding that a closed loop
-  hides (coordinated omission).
+* **open loop** -- request ``k`` is due at ``k / rate`` seconds on a
+  shared arrival clock, and ``concurrency`` workers take the arrivals
+  round robin.  A worker sends each of its arrivals when it is due, or
+  at once if it is late.  Each latency is timed from the actual send, not
+  from the due time.  A worker held up by a slow response therefore sends
+  its next arrivals late, and that wait is not counted: this loop still
+  has coordinated omission.  It shows server-side queueing delay and
+  429 shedding under the offered load, but its percentiles understate
+  the delay a client on the schedule would see.
 
 Feature payloads are synthesized once from the server's own
 ``/healthz``/``/manifest`` metadata (``num_features``), so the client

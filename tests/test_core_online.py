@@ -7,6 +7,7 @@ from repro.core.config import MEMHDConfig
 from repro.core.model import MEMHDModel
 from repro.core.online import OnlineMEMHD
 from repro.data.synthetic import SyntheticSpec, make_synthetic_dataset
+from repro.hdc import _packed_kernels as kernels
 
 
 @pytest.fixture()
@@ -333,3 +334,30 @@ class TestVictimSelection:
         assert all(count == 1 for count in am.columns_per_class().values())
         with pytest.raises(ValueError, match="grow=True"):
             online.add_class(samples[:5], columns=1)
+
+
+class TestNoScoreMatrix:
+    def test_fit_and_partial_fit_never_build_the_score_matrix(
+        self, tiny_dataset, monkeypatch
+    ):
+        """On the native backend, the init allocation rounds, the trainer
+        and partial_fit search without the (n, C) pair-count matrix."""
+        if kernels.backend_name() != "native":
+            pytest.skip("the numpy backend's search reduces pair counts")
+
+        def no_score_matrix(*args, **kwargs):
+            raise AssertionError("an (n, C) score matrix was built")
+
+        monkeypatch.setattr(kernels, "_pair_popcount", no_score_matrix)
+        model = MEMHDModel(
+            tiny_dataset.num_features,
+            tiny_dataset.num_classes,
+            MEMHDConfig(dimension=64, columns=24, epochs=5, seed=0),
+            rng=0,
+        )
+        model.fit(tiny_dataset.train_features, tiny_dataset.train_labels)
+        assert model.initialization.allocation_rounds
+        stats = OnlineMEMHD(model).partial_fit(
+            tiny_dataset.test_features, tiny_dataset.test_labels
+        )
+        assert stats["updates"] >= 0

@@ -8,6 +8,7 @@ from repro.core.associative_memory import MultiCentroidAM
 from repro.core.initialization import clustering_initialization
 from repro.core.training import QuantizationAwareTrainer
 from repro.eval.metrics import accuracy
+from repro.hdc.packed import PackedAM
 
 
 @pytest.fixture()
@@ -311,20 +312,27 @@ class TestFastPathIsBitIdentical:
         assert got.initial_accuracy == want.initial_accuracy
 
     @pytest.mark.parametrize("interval", [1, 3])
-    def test_one_scoring_pass_per_binary_memory(self, am_and_data, interval):
+    def test_one_scoring_pass_per_binary_memory(
+        self, am_and_data, interval, monkeypatch
+    ):
         am, encoded, labels = am_and_data
-        calls = {"scores": 0, "refresh": 0}
-        scores, refresh = am.scores, am.refresh_binary
+        calls = {"search": 0, "refresh": 0}
+        search, refresh = PackedAM.search, am.refresh_binary
 
-        def counting_scores(*args, **kwargs):
-            calls["scores"] += 1
-            return scores(*args, **kwargs)
+        def counting_search(*args, **kwargs):
+            calls["search"] += 1
+            return search(*args, **kwargs)
 
         def counting_refresh():
             calls["refresh"] += 1
             refresh()
 
-        am.scores, am.refresh_binary = counting_scores, counting_refresh
+        def no_score_matrix(*args, **kwargs):
+            raise AssertionError("training built an (n, C) score matrix")
+
+        monkeypatch.setattr(PackedAM, "search", counting_search)
+        monkeypatch.setattr(PackedAM, "scores", no_score_matrix)
+        am.refresh_binary, am.scores = counting_refresh, no_score_matrix
         trainer = QuantizationAwareTrainer(
             learning_rate=0.5, epochs=30, binary_update_interval=interval
         )
@@ -333,4 +341,4 @@ class TestFastPathIsBitIdentical:
         assert calls["refresh"] == 30 // interval
         # Initial pass plus one per refreshed memory (the parent trainer
         # scored twice per epoch: 61 passes for 30 epochs).
-        assert calls["scores"] == 1 + calls["refresh"]
+        assert calls["search"] == 1 + calls["refresh"]

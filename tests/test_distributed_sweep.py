@@ -268,6 +268,48 @@ class TestClaimRace:
         assert stalled.held_keys == []
 
 
+    def test_claim_in_the_reclaim_gap_counts_as_reclaimed(self, tmp_path, monkeypatch):
+        """A survivor that claims while another has the dead lease renamed
+        aside is taking over the dead worker's cell: it reports
+        ``reclaimed``, and the renamer, whose create then fails, backs off.
+
+        The renamer is held between ``os.rename`` and its ``_create`` on an
+        event, so the interleaving is forced, not raced.
+        """
+        now = {"t": 1000.0}
+        clock = lambda: now["t"]  # noqa: E731
+        dead = LeaseDir(tmp_path / "leases", "dead", ttl_s=1.0, clock=clock)
+        assert dead.try_claim("cell") == "claimed"
+        now["t"] += 10.0  # the owner died; its lease is past the TTL
+        renamer = LeaseDir(tmp_path / "leases", "renamer", ttl_s=1.0, clock=clock)
+        other = LeaseDir(tmp_path / "leases", "other", ttl_s=1.0, clock=clock)
+
+        renamed, resume = threading.Event(), threading.Event()
+        real_rename = os.rename
+
+        def held_rename(src, dst):
+            real_rename(src, dst)
+            if threading.current_thread().name == "renamer":
+                renamed.set()
+                assert resume.wait(30.0)
+
+        monkeypatch.setattr(os, "rename", held_rename)
+        outcome = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(renamer=renamer.try_claim("cell")),
+            name="renamer",
+        )
+        thread.start()
+        try:
+            assert renamed.wait(30.0)
+            outcome["other"] = other.try_claim("cell")
+        finally:
+            resume.set()
+            thread.join(30.0)
+        assert outcome == {"renamer": None, "other": "reclaimed"}
+        assert other.held_keys == ["cell"] and renamer.held_keys == []
+        assert sorted(p.name for p in (tmp_path / "leases").iterdir()) == ["cell.lease"]
+
 # --------------------------------------------------------------------------
 # Same-host pool helper (the orchestrate `distributed:` path)
 # --------------------------------------------------------------------------

@@ -52,6 +52,27 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="dimensions"):
             build_model("memhd", 8, 2, seed=0, dimensions=64)
 
+    @pytest.mark.parametrize(
+        "model, fields",
+        [
+            ("memhd", {"dimension": 96, "epochs": 7, "learning_rate": 0.01}),
+            ("basichdc", {"dimension": 96, "refine_epochs": 7, "learning_rate": 0.01}),
+            ("quanthd", {"dimension": 96, "num_levels": 8, "epochs": 7,
+                         "learning_rate": 0.01}),
+            ("searchd", {"dimension": 96, "num_levels": 8, "epochs": 7}),
+            ("lehdc", {"dimension": 96, "num_levels": 8, "epochs": 7,
+                       "learning_rate": 0.01}),
+            ("onlinehd", {"dimension": 96, "epochs": 7, "learning_rate": 0.01}),
+        ],
+    )
+    def test_built_config_equals_requested_hyperparameters(self, model, fields):
+        """No family overrides what the caller (and the sweep record) asked for."""
+        config = build_model(
+            model, 8, 2, seed=0, dimension=96, epochs=7, learning_rate=0.01,
+            id_levels=8,
+        ).config
+        assert {name: getattr(config, name) for name in fields} == fields
+
 
 class TestSweepSpec:
     def test_rejects_unknown_axes_values(self):

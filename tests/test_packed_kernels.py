@@ -7,11 +7,17 @@ downstream (packed engine, pruned search, serving) assumes they are
 *bit-identical*; these tests fuzz that equivalence over randomized
 shapes, read-only and zero-size operands and flag tiers, prove the
 silent-numpy-fallback path when no compiler is available, and check
-that kernel calls read only the backend resolved once per process.
+that kernel calls read only the backend resolved once per process.  The
+fused row search and the ordered Eq. (6) accumulate are held to their
+defining numpy expressions (score matrix + ``np.argmax``, ``np.add.at``).
 """
+
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.hdc import _packed_kernels as kernels
 from repro.hdc import encoders
@@ -271,3 +277,178 @@ class TestSparseScan:
             )
             np.testing.assert_array_equal(best_metric, expect_metric)
             np.testing.assert_array_equal(best_row, expect_row)
+
+
+# --------------------------------------------------------------------------
+# Fused row search vs scores + np.argmax, on both backends
+# --------------------------------------------------------------------------
+BACKENDS = ["numpy", "native"]
+
+
+def _use_backend(backend):
+    if backend == "native":
+        _native_only()
+    kernels.set_backend(backend)
+
+
+@st.composite
+def _search_cases(draw):
+    """Queries, references, shuffled row classes and labels.
+
+    Words come from a small pool, so rows repeat and scores tie often;
+    every label names a class that owns at least one row.
+    """
+    words = draw(st.sampled_from([1, 2, 3, 128]))
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(0, 12))
+    any_word = st.integers(0, 2**64 - 1)
+    pool_shape = (draw(st.integers(1, 4)), words)
+    pool = draw(hnp.arrays(np.uint64, pool_shape, elements=any_word))
+    picks = draw(hnp.arrays(np.int64, m, elements=st.integers(0, len(pool) - 1)))
+    references = pool[picks]
+    queries = draw(hnp.arrays(np.uint64, (n, words), elements=any_word))
+    num_classes = draw(st.integers(1, min(m, 5)))
+    # Every class owns a row; the rest are assigned at random, then shuffled.
+    some_class = st.integers(0, num_classes - 1)
+    rest = draw(hnp.arrays(np.int64, m - num_classes, elements=some_class))
+    classes = np.concatenate([np.arange(num_classes), rest])
+    classes = classes[draw(st.permutations(range(m)))]
+    labels = draw(hnp.arrays(np.int64, n, elements=some_class))
+    return queries, references, classes, num_classes, labels
+
+
+def _reference_search(queries, references, classes, labels, op):
+    """Score matrix, np.argmax, and the masked per-class argmax."""
+    combine = np.bitwise_and if op == kernels.OP_AND else np.bitwise_xor
+    counts = np.bitwise_count(combine(queries[:, None, :], references[None]))
+    counts = counts.sum(-1, dtype=np.int64)
+    scores = counts if op == kernels.OP_AND else -counts  # dot = D - 2 * hamming
+    best = np.argmax(scores, axis=1) if len(queries) else np.empty(0, np.int64)
+    own = np.empty(len(queries), dtype=np.int64)
+    for i, label in enumerate(labels):
+        rows = np.flatnonzero(classes == label)
+        own[i] = rows[np.argmax(scores[i, rows])]
+    return best, own
+
+
+class TestFusedSearch:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("op", [kernels.OP_AND, kernels.OP_XOR], ids=["and", "xor"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=_search_cases())
+    def test_matches_scores_and_argmax(self, backend, op, case):
+        queries, references, classes, num_classes, labels = case
+        _use_backend(backend)
+        try:
+            search = kernels.RowSearch(references, classes, num_classes, op)
+            best, own = search(queries, labels)
+            unlabelled, none = search(queries)
+        finally:
+            kernels.set_backend(None)
+        want_best, want_own = _reference_search(
+            queries, references, classes, labels, op
+        )
+        np.testing.assert_array_equal(best, want_best)
+        np.testing.assert_array_equal(own, want_own)
+        np.testing.assert_array_equal(unlabelled, want_best)
+        assert none is None
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("words", [1, 2, 3, 128])
+    def test_all_rows_tied_picks_first(self, backend, words):
+        references = np.zeros((6, words), dtype=np.uint64)
+        classes = np.array([2, 0, 1, 0, 2, 1])
+        queries = np.full((3, words), 2**64 - 1, dtype=np.uint64)
+        _use_backend(backend)
+        try:
+            for op in (kernels.OP_AND, kernels.OP_XOR):
+                search = kernels.RowSearch(references, classes, 3, op)
+                best, own = search(queries, np.array([0, 1, 2]))
+                np.testing.assert_array_equal(best, [0, 0, 0])
+                np.testing.assert_array_equal(own, [1, 2, 0])
+        finally:
+            kernels.set_backend(None)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "label", [1, 3, -1], ids=["no-row", "past-end", "negative"]
+    )
+    def test_label_without_rows_raises(self, backend, label):
+        # Class 1 exists (num_classes = 3) but owns no row.
+        references = np.arange(8, dtype=np.uint64).reshape(4, 2)
+        classes = np.array([0, 2, 2, 0])
+        search = kernels.RowSearch(references, classes, 3, kernels.OP_AND)
+        queries = np.ones((2, 2), dtype=np.uint64)
+        _use_backend(backend)
+        try:
+            with pytest.raises(ValueError, match="no reference row"):
+                search(queries, np.array([0, label]))
+            # The rows that do exist still search normally afterwards.
+            assert search(queries, np.array([0, 2]))[1].min() >= 0
+        finally:
+            kernels.set_backend(None)
+
+    def test_pickled_copy_searches_its_own_arrays(self):
+        rng = np.random.default_rng(5)
+        references = _random_words(rng, 40, 3)
+        queries = _random_words(rng, 30, 3)
+        search = kernels.RowSearch(references, np.arange(40) % 4, 4, kernels.OP_AND)
+        want = search(queries)[0]
+        clone = pickle.loads(pickle.dumps(search))
+        del search
+        # Reuse the freed memory, so a stale address would read other words.
+        filler = [np.full((3, 40), 2**64 - 1, dtype=np.uint64) for _ in range(50)]
+        np.testing.assert_array_equal(clone(queries)[0], want)
+        assert filler
+
+    def test_label_count_must_match(self):
+        search = kernels.RowSearch(np.zeros((2, 1), np.uint64), np.array([0, 1]), 2,
+                                   kernels.OP_AND)
+        with pytest.raises(ValueError, match="labels"):
+            search(np.zeros((3, 1), np.uint64), np.array([0, 1]))
+
+
+# --------------------------------------------------------------------------
+# Ordered Eq. (6) accumulate vs np.add.at (native only)
+# --------------------------------------------------------------------------
+@st.composite
+def _accumulate_cases(draw, dtype):
+    rows_count = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 9))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    target = draw(hnp.arrays(np.float64, (rows_count, dim), elements=finite))
+    n = draw(st.integers(0, 30))
+    # Few distinct rows: most updates land on a row already updated.
+    row = st.integers(0, min(rows_count, 2) - 1)
+    rows = draw(hnp.arrays(np.int64, n, elements=row))
+    elements = st.integers(-128, 127) if dtype == np.int8 else finite
+    vectors = draw(hnp.arrays(dtype, (n, dim), elements=elements))
+    scale = draw(st.floats(1e-4, 10.0) | st.floats(-10.0, -1e-4))
+    return target, rows, vectors, scale
+
+
+class TestOrderedAccumulate:
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64], ids=["int8", "float64"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_add_at(self, dtype, data):
+        _native_only()
+        target, rows, vectors, scale = data.draw(_accumulate_cases(dtype))
+        expected = target.copy()
+        np.add.at(expected, rows, scale * vectors)
+        kernels.ordered_accumulate(target, rows, vectors, scale)
+        np.testing.assert_array_equal(target, expected)
+
+    def test_rejects_rows_out_of_range(self):
+        _native_only()
+        target = np.zeros((2, 3))
+        with pytest.raises(IndexError):
+            kernels.ordered_accumulate(target, np.array([2]), np.ones((1, 3)), 1.0)
+        np.testing.assert_array_equal(target, 0.0)
+
+    def test_numpy_backend_refuses(self, restore_backend):
+        kernels.set_backend("numpy")
+        with pytest.raises(RuntimeError):
+            kernels.ordered_accumulate(
+                np.zeros((1, 1)), np.array([0]), np.ones((1, 1)), 1.0
+            )

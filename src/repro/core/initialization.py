@@ -183,7 +183,7 @@ def clustering_initialization(
     rng:
         Seed or generator.
     """
-    samples = np.asarray(encoded, dtype=np.float64)
+    samples = np.asarray(encoded)
     y = np.asarray(labels, dtype=np.int64)
     if samples.ndim != 2:
         raise ValueError("encoded must be a 2-D array")
@@ -193,6 +193,8 @@ def clustering_initialization(
         raise ValueError("columns must be >= num_classes")
     # Packed once: the contract check, and every validation round's queries.
     packed_samples = pack_encodings(samples)
+    # Checked {0, 1}: int8 class blocks take dot_kmeans's exact assignment.
+    samples = samples.astype(np.int8, copy=False)
     present = np.unique(y)
     if present.size != num_classes or present.min() != 0 or present.max() != num_classes - 1:
         missing = sorted(set(range(num_classes)) - set(int(c) for c in present))

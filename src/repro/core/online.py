@@ -160,7 +160,7 @@ class OnlineMEMHD:
                 f"label {label} already exists; partial_fit() handles known classes"
             )
 
-        encoded = self.model.encode_binary(x).astype(np.float64)
+        encoded = self.model.encode_binary(x)
         k = min(columns, encoded.shape[0])
         result = dot_kmeans(encoded, k, rng=self._rng)
         sizes = np.maximum(result.cluster_sizes(), 1)

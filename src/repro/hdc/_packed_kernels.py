@@ -40,6 +40,12 @@ that certifies each sign against an error bound, recomputes the
 uncertified ones in float64 and packs the sign and "still open" bits.
 Its numpy twin gives the same words and the same open bits.
 
+The k-means initialization's certified assignment is
+:func:`certified_argmax`: each row's first best cluster of exact integer
+scores over cluster sizes, kept only when every other cluster is clear of
+it by a caller-given ratio (``hdc/clustering.py`` sizes it to float64's
+error bound), else a fallback.  Its numpy twin makes the same decisions.
+
 Environment knobs
 -----------------
 ``REPRO_PACKED_BACKEND``
@@ -211,6 +217,49 @@ void ordered_accumulate(double* target, const int64_t* rows, const void* vectors
                 t[d] += scale * (double)v[d];
         }
     }
+}
+
+/* Certified k-means assignment over the (n, k) scores p (float32 when
+ * elem is 1, else double) and the k positive cluster sizes.  best[i] is
+ * the first largest p_ij * inv_j, with inv_j = 1 / sizes[j] (rounded
+ * once per cluster); the row is certified when that score is 0 (every
+ * score is then 0) or p_ij * sizes[best] < (p_i,best * sizes[j]) * ratio
+ * for every other j: no division in the sweep.  Returns 1 when every row
+ * is certified, else 0 at the first row that is not.  scratch holds 2k
+ * doubles. */
+int64_t certified_argmax(const void* p, const double* sizes, double* scratch,
+                         int64_t* best, size_t n, size_t k, double ratio, int elem) {
+    double* inv = scratch;
+    double* row = scratch + k;
+    for (size_t j = 0; j < k; ++j)
+        inv[j] = 1.0 / sizes[j];
+    for (size_t i = 0; i < n; ++i) {
+        if (elem) {
+            const float* pi = (const float*)p + i * k;
+            for (size_t j = 0; j < k; ++j)
+                row[j] = (double)pi[j];
+        } else {
+            memcpy(row, (const double*)p + i * k, k * sizeof(double));
+        }
+        double top = row[0] * inv[0];
+        size_t pick = 0;
+        for (size_t j = 1; j < k; ++j) {
+            const double score = row[j] * inv[j];
+            const int better = score > top;
+            top = better ? score : top;
+            pick = better ? j : pick;
+        }
+        best[i] = (int64_t)pick;
+        const double mine = row[pick], size = sizes[pick];
+        if (mine == 0.0)
+            continue;
+        int open = 0;
+        for (size_t j = 0; j < k; ++j)
+            open |= (j != pick) & !(row[j] * size < (mine * sizes[j]) * ratio);
+        if (open)
+            return 0;
+    }
+    return 1;
 }
 
 /* Shortlist re-rank for the pruned engine: each query scores only the row
@@ -508,6 +557,8 @@ def _load_native() -> Optional[ctypes.CDLL]:
         lib.best_rows.restype = None
         lib.ordered_accumulate.argtypes = [pointer] * 3 + [size_t] * 2 + [double, c_int]
         lib.ordered_accumulate.restype = None
+        lib.certified_argmax.argtypes = [pointer] * 4 + [size_t] * 2 + [double, c_int]
+        lib.certified_argmax.restype = ctypes.c_int64
         lib.sparse_scan.argtypes = [pointer] * 8 + [size_t] * 2 + [c_int]
         lib.sparse_scan.restype = None
         lib.sign_pack.argtypes = [pointer] * 4 + [size_t] * 4 + [double] * 5
@@ -711,6 +762,48 @@ def ordered_accumulate(
         _native_lib.ordered_accumulate(
             _address(target), _address(rows), _address(v), n, dim, float(scale), elem
         )
+
+
+def certified_argmax(
+    products: np.ndarray, sizes: np.ndarray, ratio: float
+) -> Optional[np.ndarray]:
+    """First best cluster of each row of ``products / sizes``, if certified.
+
+    ``products`` is the ``(n, k)`` float32 or float64 score matrix and
+    ``sizes`` the ``(k,)`` positive cluster sizes.  Each row's pick is the
+    first largest ``p_j * (1 / sizes_j)``; the row is certified when that
+    score is 0 (all of them are then 0) or every other cluster has
+    ``p_j * sizes_pick < (p_pick * sizes_j) * ratio``, which for ``ratio
+    < 1`` and integer scores makes the pick the unique best ratio
+    ``p / sizes``.  Returns the ``(n,)``
+    int64 picks, or None when some row is not certified.  The native
+    kernel stops at the first such row; the numpy twin makes the same
+    decisions and picks.
+    """
+    n, k = products.shape
+    sizes = np.ascontiguousarray(sizes, dtype=np.float64)
+    if sizes.shape != (k,):
+        raise ValueError(f"expected {k} cluster sizes, got shape {sizes.shape}")
+    if k == 0 and n:
+        raise ValueError("cannot assign rows to zero clusters")
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    elem = int(products.dtype == np.float32)
+    p = np.ascontiguousarray(products, dtype=np.float32 if elem else np.float64)
+    if backend_name() == "native":
+        best = np.empty(n, dtype=np.int64)
+        scratch = np.empty(2 * k, dtype=np.float64)
+        ok = _native_lib.certified_argmax(
+            *map(_address, (p, sizes, scratch, best)), n, k, float(ratio), elem
+        )
+        return best if ok else None
+    rows = np.arange(n)
+    best = np.argmax(p * (1.0 / sizes), axis=1)
+    mine = p[rows, best].astype(np.float64)
+    clear = p * sizes[best][:, None] < (mine[:, None] * sizes) * ratio
+    clear[rows, best] = True
+    certified = (mine == 0.0) | clear.all(axis=1)
+    return best if certified.all() else None
 
 
 def sparse_scan_available() -> bool:

@@ -11,13 +11,26 @@ equivalent to classical Euclidean K-means, but encoded hypervectors after
 bundling are not equal-norm in general, so the assignment step here uses the
 dot product directly.
 
-Seeding keeps a running closest-centroid similarity, the Lloyd update
-sums every cluster's members with one indicator-matrix product, and a
-converged run reuses its last similarities for the inertia.  Each of these
-is exact for integer-valued samples (every in-repo caller clusters
-``{0, 1}`` encodings), where all sums are exact integers whatever their
-order; real-valued samples agree with the per-cluster formulation to
-rounding.
+Seeding keeps a running closest-centroid similarity, and a converged run
+reuses its last similarities for the inertia.  A Lloyd step costs what its
+moved samples cost: the member sums ``S`` are built once with a one-hot
+product, and each later update adds ``delta @ samples[moved]`` (+1 in a
+moved sample's new cluster, -1 in its old one).  Centroids are
+``S_k / n_k``.
+
+For ``{0, 1}`` samples of an integer dtype (the init rounds pass the int8
+encodings), the assignment comes from the exact integer products ``P =
+X . S^T`` (a float32 GEMM, exact below ``2**24``): the native
+``certified_argmax`` picks each row's first best ``P_k / n_k`` when its
+top two ratios are further apart than the float64 dot's error bound (see
+:func:`_certified_ratio`), and the first iteration, whose centroids are
+samples, needs no bound.  Everything else uses the float64 scores and
+``np.argmax`` as before: an iteration with a row inside the bound (so
+exact ties keep float64's order), empty-cluster re-seeding, a cluster the
+re-seeding left with no members (it keeps its old centroid) and the final
+inertia.  The fitted result is bit-identical to the per-cluster
+formulation for integer-valued samples, whose sums are exact integers in
+any order; real-valued samples agree with it to rounding.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.hdc import _packed_kernels as _kernels
 from repro.hdc.hypervector import _as_generator
 from repro.hdc.similarity import dot_similarity
 
@@ -96,6 +110,92 @@ def _init_centroids_kmeanspp(
     return samples[chosen].astype(np.float64).copy()
 
 
+def _exact_operand(samples: np.ndarray, arr: np.ndarray) -> Optional[np.ndarray]:
+    """``{0, 1}`` integer samples in the dtype whose GEMM against the member
+    sums is exact; None for any other samples.
+
+    Every score ``x . S_k`` is an integer at most ``D * n``, and so is every
+    partial sum, so float32 is exact while ``D * n < 2**24``; beyond that
+    the float64 ``arr`` is exact.  Only an integer dtype is checked (by its
+    min and max): float samples take the float64 path without a rescan.
+    """
+    raw = np.asarray(samples)
+    if not np.issubdtype(raw.dtype, np.integer):
+        return None
+    if raw.size and (raw.min() < 0 or raw.max() > 1):
+        return None
+    return raw.astype(np.float32) if raw.size < 2**24 else arr
+
+
+def _certified_ratio(dimension: int) -> float:
+    """Ratio that certifies an exact-product pick as float64's ``argmax``.
+
+    With ``t_k = P_k / n_k`` exact, the float64 score ``s_k = x . c_k`` of
+    ``c_k = fl(S_k / n_k)`` has ``|s_k - t_k| <= gamma_D * t_k`` in any
+    summation order: the products with ``x_d in {0, 1}`` are exact, and
+    each term meets one division and at most ``D - 1`` additions (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, sec. 3.1).
+    ``certified_argmax`` keeps a pick ``b`` when ``fl(P_k * n_b) <
+    fl(fl(P_b * n_k) * ratio)`` for every other ``k``; its three roundings
+    give ``t_k < t_b * ratio * (1 + u)**2 / (1 - u)``, so ``s_b > s_k``
+    whenever ``ratio * (1 + u)**2 * (1 + gamma_D) <= (1 - gamma_D) * (1 -
+    u)``.  The right side over the left's factors is at least ``1 - 2 *
+    gamma_D - 3u``; the returned ratio is at most ``1 - 2 * gamma_D -
+    3.5u`` after its own roundings (a test checks the inequality in exact
+    rationals).
+    """
+    unit = 2.0**-53
+    gamma = dimension * unit / (1.0 - dimension * unit)
+    return 1.0 - (2.0 * gamma + 4.0 * unit) * (1.0 + 2.0**-40)
+
+
+def _exact_assignment(
+    exact: np.ndarray,
+    centroids: np.ndarray,
+    sums: Optional[np.ndarray],
+    sizes: Optional[np.ndarray],
+    ratio: float,
+) -> Optional[np.ndarray]:
+    """float64's ``argmax`` of the scores, from exact integer products.
+
+    Before the first update (``sums`` None) the centroids are samples, so
+    the float64 scores are the exact products and decide directly.  After
+    it, ``P = X . S^T`` scores ``P_k / n_k``, decided only when every row
+    is certified; None asks for the float64 scores.
+    """
+    if sums is None:
+        return np.argmax(exact @ centroids.astype(exact.dtype, copy=False).T, axis=1)
+    products = exact @ sums.astype(exact.dtype, copy=False).T
+    return _kernels.certified_argmax(products, sizes, ratio)
+
+
+def _member_sums(
+    sums: Optional[np.ndarray],
+    arr: np.ndarray,
+    old: np.ndarray,
+    new: np.ndarray,
+    num_clusters: int,
+) -> np.ndarray:
+    """Every cluster's member sum after ``old`` assignments become ``new``.
+
+    The first update sums every cluster with one ``(k x n)`` one-hot
+    product; later ones add ``delta @ arr[moved]`` in place, with ``delta``
+    +1 in each moved sample's new cluster and -1 in its old one.  Sums of
+    integer samples are exact integers either way.
+    """
+    if sums is None:
+        indicator = np.zeros((num_clusters, arr.shape[0]))
+        indicator[new, np.arange(arr.shape[0])] = 1.0
+        return indicator @ arr
+    moved = np.flatnonzero(old != new)
+    delta = np.zeros((num_clusters, moved.size))
+    columns = np.arange(moved.size)
+    delta[new[moved], columns] = 1.0
+    delta[old[moved], columns] = -1.0
+    sums += delta @ arr[moved]
+    return sums
+
+
 def dot_kmeans(
     samples: np.ndarray,
     num_clusters: int,
@@ -150,38 +250,49 @@ def dot_kmeans(
     else:
         raise ValueError(f"unknown init method: {init!r}")
 
+    exact = _exact_operand(samples, arr)
+    ratio = _certified_ratio(arr.shape[1])
+    rows = np.arange(n)
     assignments = np.full(n, -1, dtype=np.int64)
+    sums: Optional[np.ndarray] = None
+    sizes: Optional[np.ndarray] = None
     converged = False
     iterations = 0
+    sims = None
     for iterations in range(1, max_iterations + 1):
-        sims = dot_similarity(arr, centroids)  # (n, k)
-        new_assignments = np.argmax(sims, axis=1)
+        sims = new_assignments = None
+        # A cluster the re-seeding emptied keeps a centroid that is not
+        # sums / sizes: only float64 scores it.
+        if exact is not None and (sizes is None or sizes.all()):
+            new_assignments = _exact_assignment(exact, centroids, sums, sizes, ratio)
+        if new_assignments is None:
+            sims = dot_similarity(arr, centroids)  # (n, k)
+            new_assignments = np.argmax(sims, axis=1)
         # Re-seed empty clusters from the least-well-represented samples so
         # that every initial class vector covers part of the point cloud.
         counts = np.bincount(new_assignments, minlength=num_clusters)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            best = sims[np.arange(n), new_assignments]
+            if sims is None:
+                sims = dot_similarity(arr, centroids)
+            best = sims[rows, new_assignments]
             worst_samples = np.argsort(best)[: empty.size]
             for cluster, sample in zip(empty, worst_samples):
                 new_assignments[sample] = cluster
         if np.array_equal(new_assignments, assignments):
             converged = True
             break
+        sums = _member_sums(sums, arr, assignments, new_assignments, num_clusters)
         assignments = new_assignments
-        # Every cluster's member sum in one (k x n) indicator GEMM (exact
-        # for integer-valued samples); a cluster the re-seeding emptied
-        # keeps its centroid.
-        indicator = np.zeros((num_clusters, n))
-        indicator[assignments, np.arange(n)] = 1.0
         sizes = np.bincount(assignments, minlength=num_clusters)
         filled = sizes > 0
-        centroids[filled] = (indicator @ arr)[filled] / sizes[filled, None]
+        centroids[filled] = sums[filled] / sizes[filled, None]
 
-    if not converged:
-        # The last Lloyd step moved the centroids after they were scored.
+    if sims is None or not converged:
+        # The last Lloyd step moved the centroids after they were scored,
+        # or a certified assignment scored them without float64.
         sims = dot_similarity(arr, centroids)
-    inertia = -float(sims[np.arange(n), assignments].sum())
+    inertia = -float(sims[rows, assignments].sum())
     return KMeansResult(centroids, assignments, inertia, iterations, converged)
 
 

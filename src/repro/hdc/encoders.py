@@ -550,13 +550,13 @@ def _exact_sign_words(
     a tie throughout.
 
     **Exact tier** (:func:`_settle_open`) decides what is still open.
-
-    A finite entry beyond the float32 range makes numpy warn about the
-    cast, as a float64 overflow in the product did before; the bits are
-    exact all the same.
     """
-    narrow = features.astype(np.float32)
-    words, undecided, count = packer(features, narrow @ widened)
+    # A finite entry beyond the float32 range casts to inf, and a row with
+    # a non-finite entry sums to NaN: such rows skip both float tiers.
+    with np.errstate(over="ignore", invalid="ignore"):
+        narrow = features.astype(np.float32)
+        sums = narrow @ widened
+    words, undecided, count = packer(features, sums)
     if count:
         _settle_open(features, widened.T, words, undecided)
     return words

@@ -354,14 +354,20 @@ class _WorkerSlot:
         return self.process is not None and self.process.is_alive()
 
     def close_conns(self) -> None:
-        for conn in (self.control_conn, self.escalation_conn):
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        self.control_conn = None
-        self.escalation_conn = None
+        # Under the control lock: a control request polling this link keeps
+        # its descriptor until it has seen the worker's EOF.  Closed under
+        # the poll, the number can be reused (a respawn's pipe, a client
+        # socket) and the poll then waits out its whole timeout on a file
+        # that never becomes readable, holding the lock every /stats needs.
+        with self.control_lock:
+            for conn in (self.control_conn, self.escalation_conn):
+                if conn is not None:
+                    try:
+                        conn.close()
+                    except OSError:
+                        pass
+            self.control_conn = None
+            self.escalation_conn = None
 
 
 class WorkerSupervisor:

@@ -20,6 +20,7 @@ import json
 import math
 import threading
 import urllib.request
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,20 @@ class TestMatchesExactReference:
         features[:, 4] = [1e-300, -1e-300]
         _assert_exact(encoder, features)
         np.testing.assert_array_equal(encoder.encode_binary(features)[:, 0], [1, 0])
+
+    def test_out_of_range_and_nonfinite_rows_encode_without_warnings(self):
+        # Beyond float32's range the cast overflows and a non-finite row
+        # sums to NaN; those rows skip the float tiers, so neither warns.
+        encoder = RandomProjectionEncoder(3, 90, rng=2)
+        rows = np.array(
+            [[np.nan, 1.0, 2.0], [np.inf, 1e300, -1e300], [np.inf, -np.inf, 0.0]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bits = encoder.encode_binary(rows)
+            encoder.encode_packed(rows)
+            encoder.encode(rows)
+        assert not bits[0].any()
 
     def test_large_rows_at_real_width(self):
         # f = 784 as in MNIST; the crafted rows leave entries open at both

@@ -1,8 +1,13 @@
 """Unit tests for repro.hdc.clustering (dot-similarity K-means)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.hdc.clustering as clustering
+from repro.hdc import _packed_kernels as kernels
 from repro.hdc.clustering import classwise_clustering, dot_kmeans
 
 
@@ -232,3 +237,235 @@ class TestExactOnBinarySamples:
         np.testing.assert_allclose(result.centroids, centroids, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(result.assignments, assignments)
         assert result.inertia == pytest.approx(inertia, rel=1e-12)
+
+
+# ------------------------------------- running sums and certified assignment
+@st.composite
+def _tie_heavy_runs(draw):
+    """{0, 1} samples drawn from a small row pool (duplicates, exact ties),
+    a cluster count up to n, an iteration budget, a seed and a dtype."""
+    dimension = draw(st.integers(1, 8))
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=dimension, max_size=dimension),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=24))
+    samples = np.array([pool[i] for i in picks])
+    k = draw(st.integers(2, samples.shape[0]))
+    max_iterations = draw(st.sampled_from([1, 2, 5, 50]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dtype = draw(st.sampled_from([np.int8, np.float64]))
+    return samples.astype(dtype), k, max_iterations, seed
+
+
+def _assert_matches_reference(samples, k, max_iterations, seed):
+    result = dot_kmeans(samples, k, max_iterations=max_iterations, rng=seed)
+    exact = samples.astype(np.float64)
+    centroids, assignments, inertia, converged = _reference_kmeans(
+        exact, k, max_iterations, np.random.default_rng(seed)
+    )
+    np.testing.assert_array_equal(result.centroids, centroids)
+    np.testing.assert_array_equal(result.assignments, assignments)
+    assert result.inertia == inertia
+    assert result.converged == converged
+    # The reference stops in the same iteration: it converges within
+    # result.iterations, and not within one fewer.
+    if converged:
+        for budget, expected in ((result.iterations, True), (result.iterations - 1, False)):
+            again = _reference_kmeans(exact, k, budget, np.random.default_rng(seed))
+            assert again[3] is expected
+    else:
+        assert result.iterations == max_iterations
+    return result
+
+
+class TestRunningSumsAndCertifiedAssignment:
+    """Running member sums and the certified exact-integer assignment give
+    the per-cluster formulation's result bit for bit, ties included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tie_heavy_runs())
+    def test_tie_heavy_binary_runs_match_reference(self, case):
+        _assert_matches_reference(*case)
+
+    def test_cluster_left_without_members_keeps_its_centroid(self, monkeypatch):
+        # The re-seeding gives the empty cluster 1 the sole member of
+        # cluster 2, so the update leaves cluster 2 with no members: its old
+        # centroid scores the next iteration, where X . S^T would score 0.
+        samples = np.array([[0, 1], [1, 0], [1, 0]], dtype=np.int8)
+        emptied = []
+        member_sums = clustering._member_sums
+
+        def spy(sums, arr, old, new, num_clusters):
+            emptied.append(bool((np.bincount(new, minlength=num_clusters) == 0).any()))
+            return member_sums(sums, arr, old, new, num_clusters)
+
+        monkeypatch.setattr(clustering, "_member_sums", spy)
+        result = _assert_matches_reference(samples, 3, 50, 6)
+        assert any(emptied)
+        assert result.cluster_sizes().min() == 0
+
+    def test_tie_free_run_scores_float64_once(self, monkeypatch):
+        # Every iteration is decided by the exact products, so float64
+        # scores the k centroids only for the final inertia (the seeding's
+        # one-column scores are not counted).
+        gen = np.random.default_rng(8)
+        prototypes = gen.integers(0, 2, size=(4, 64))
+        flips = gen.random((150, 64)) < 0.2
+        samples = (prototypes[gen.integers(0, 4, size=150)] ^ flips).astype(np.int8)
+        scored = []
+        dot_similarity = clustering.dot_similarity
+
+        def spy(queries, references, *args, **kwargs):
+            scored.append(np.shape(references)[0])
+            return dot_similarity(queries, references, *args, **kwargs)
+
+        monkeypatch.setattr(clustering, "dot_similarity", spy)
+        result = _assert_matches_reference(samples, 5, 50, 8)
+        assert result.iterations >= 3
+        assert scored.count(5) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(1, 12), st.data())
+    def test_certified_assignment_is_float64_argmax(self, dimension, k, n, data):
+        # Any state of member sums: when the exact products decide, they
+        # pick float64's argmax of the rounded centroids' scores.
+        sizes = np.array(data.draw(st.lists(st.integers(1, 12), min_size=k, max_size=k)))
+        sums = np.array(
+            [
+                data.draw(st.lists(st.integers(0, int(size)), min_size=dimension, max_size=dimension))
+                for size in sizes
+            ],
+            dtype=np.float64,
+        )
+        samples = np.array(
+            data.draw(st.lists(st.integers(0, 1), min_size=n * dimension, max_size=n * dimension)),
+            dtype=np.int8,
+        ).reshape(n, dimension)
+        centroids = sums / sizes[:, None]
+        # float32 below 2**24 entries, float64 (the samples' own copy) above.
+        exact = samples.astype(data.draw(st.sampled_from([np.float32, np.float64])))
+        ratio = clustering._certified_ratio(dimension)
+        picked = clustering._exact_assignment(exact, centroids, sums, sizes, ratio)
+        if picked is not None:
+            scores = samples.astype(np.float64) @ centroids.T
+            np.testing.assert_array_equal(picked, np.argmax(scores, axis=1))
+
+    def test_exact_tie_that_float64_breaks_upward_is_left_to_float64(self):
+        # 3/10 == 3 * (1/10) exactly, but float64 scores 0.3 against
+        # 0.1 + 0.1 + 0.1 = 0.30000000000000004 and picks cluster 1.
+        sums = np.array([[3.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        sizes = np.array([10, 10])
+        samples = np.ones((1, 3), dtype=np.int8)
+        centroids = sums / sizes[:, None]
+        assert np.argmax(samples.astype(np.float64) @ centroids.T) == 1
+        exact = clustering._exact_operand(samples, samples.astype(np.float64))
+        ratio = clustering._certified_ratio(3)
+        assert clustering._exact_assignment(exact, centroids, sums, sizes, ratio) is None
+
+    def test_integer_samples_outside_binary_use_float64(self):
+        samples = np.random.default_rng(4).integers(-3, 4, size=(60, 6))
+        result = dot_kmeans(samples, 4, rng=4)
+        centroids, assignments, inertia, _ = _reference_kmeans(
+            samples.astype(np.float64), 4, 50, np.random.default_rng(4)
+        )
+        np.testing.assert_array_equal(result.centroids, centroids)
+        np.testing.assert_array_equal(result.assignments, assignments)
+        assert result.inertia == inertia
+
+
+class TestCertifiedRatio:
+    @pytest.mark.parametrize("dimension", [0, 1, 2, 7, 128, 8192, 10**6, 2**30])
+    def test_ratio_meets_the_bound_exactly(self, dimension):
+        # ratio * (1 + u)^2 * (1 + gamma_D) <= (1 - gamma_D) * (1 - u), in
+        # exact rational arithmetic.
+        u = Fraction(1, 2**53)
+        gamma = dimension * u / (1 - dimension * u)
+        ratio = Fraction(clustering._certified_ratio(dimension))
+        assert 0 < ratio < 1
+        assert ratio * (1 + u) ** 2 * (1 + gamma) <= (1 - gamma) * (1 - u)
+
+
+def _certified_both(products, sizes, ratio):
+    """certified_argmax on the numpy twin and, when available, natively."""
+    answers = []
+    try:
+        for backend in ("numpy", "native"):
+            if backend == "native" and kernels.native_build_info() is None:
+                continue
+            kernels.set_backend(backend)
+            answers.append(kernels.certified_argmax(products, sizes, ratio))
+    finally:
+        kernels.set_backend(None)
+    for answer in answers[1:]:
+        if answers[0] is None:
+            assert answer is None
+        else:
+            np.testing.assert_array_equal(answer, answers[0])
+    return answers[0]
+
+
+class TestCertifiedArgmax:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.data(),
+        st.sampled_from([np.float32, np.float64]),
+    )
+    def test_native_matches_numpy_twin(self, n, k, data, dtype):
+        products = np.array(
+            data.draw(st.lists(st.integers(0, 40), min_size=n * k, max_size=n * k)),
+            dtype=dtype,
+        ).reshape(n, k)
+        sizes = np.array(data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)))
+        ratio = data.draw(st.sampled_from([clustering._certified_ratio(8), 0.5, 0.9, 1.0]))
+        best = _certified_both(products, sizes, ratio)
+        if best is None:
+            return
+        # A certified row's pick is the unique best exact ratio (or all 0).
+        for row, pick in zip(products, best):
+            ratios = [Fraction(int(p), int(s)) for p, s in zip(row, sizes)]
+            if max(ratios) == 0:
+                assert pick == 0
+            else:
+                assert all(r < ratios[pick] for j, r in enumerate(ratios) if j != pick)
+
+    def test_margin_boundary(self):
+        sizes = np.array([1.0, 1.0])
+        # 2 * 1 < (4 * 1) * 0.5 is false: on the boundary is not certified.
+        assert _certified_both(np.array([[4.0, 2.0]]), sizes, 0.5) is None
+        np.testing.assert_array_equal(
+            _certified_both(np.array([[4.0, 1.0]]), sizes, 0.5), [0]
+        )
+        # Inside and just outside float64's error bound at D = 128.
+        ratio = clustering._certified_ratio(128)
+        near = np.array([[2.0**46, 2.0**46 - 1]])
+        assert _certified_both(near, sizes, ratio) is None
+        far = np.array([[2.0**44 - 1, 2.0**44]])
+        np.testing.assert_array_equal(_certified_both(far, sizes, ratio), [1])
+
+    def test_exact_tie_and_zero_row(self):
+        sizes = np.array([3.0, 2.0])
+        # 3/3 == 2/2: an exact tie is left to float64.
+        assert _certified_both(np.array([[3.0, 2.0]], np.float32), sizes, 0.9) is None
+        # All scores 0: float64's scores are exactly 0 too, so column 0.
+        np.testing.assert_array_equal(
+            _certified_both(np.zeros((2, 2), np.float32), sizes, 0.9), [0, 0]
+        )
+
+    def test_single_cluster(self):
+        products = np.array([[5.0], [0.0], [2.0]], np.float32)
+        np.testing.assert_array_equal(
+            _certified_both(products, np.array([4.0]), clustering._certified_ratio(8)), [0, 0, 0]
+        )
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            kernels.certified_argmax(np.zeros((2, 3)), np.ones(2), 0.5)
+        with pytest.raises(ValueError):
+            kernels.certified_argmax(np.zeros((2, 0)), np.ones(0), 0.5)
+        assert kernels.certified_argmax(np.zeros((0, 3)), np.ones(3), 0.5).shape == (0,)

@@ -279,6 +279,39 @@ class TestCrashRespawn:
             assert stats["respawns"] >= 1
 
 
+class TestControlLinkClose:
+    def test_close_waits_for_the_request_polling_the_link(self, tmp_path):
+        """Reaping a dead worker closes its control link only after a
+        request polling that link has seen the EOF.  Closed under the
+        poll, the descriptor number can be reused and the poll then waits
+        out its timeout, holding the lock every ``/stats`` needs."""
+        supervisor = WorkerSupervisor(
+            WorkerConfig(models=("tiny",), store=str(tmp_path)), workers=1
+        )
+        slot = _WorkerSlot(0)
+        slot.control_conn, worker_end = multiprocessing.get_context("fork").Pipe()
+        errors = []
+
+        def request():
+            try:
+                supervisor._control_request(slot, {"op": "stats"}, timeout=30.0)
+            except (OSError, EOFError) as error:
+                errors.append(error)
+
+        requester = threading.Thread(target=request)
+        requester.start()
+        assert worker_end.poll(10)  # the request is in flight
+        closer = threading.Thread(target=slot.close_conns)
+        closer.start()
+        closer.join(0.5)
+        assert closer.is_alive()  # the link stays open while it is polled
+        worker_end.close()  # the worker dies
+        requester.join(10)
+        closer.join(10)
+        assert not requester.is_alive() and not closer.is_alive()
+        assert len(errors) == 1 and slot.control_conn is None
+
+
 class TestStatsAggregation:
     def test_three_level_stats(self, prefork_stack):
         config = _config(prefork_stack)

@@ -31,6 +31,7 @@ from repro.core.training import pack_encodings
 from repro.eval.metrics import misclassification_counts
 from repro.hdc.clustering import dot_kmeans
 from repro.hdc.hypervector import _as_generator
+from repro.hdc.packed import PackedVectors
 
 
 @dataclass
@@ -82,11 +83,14 @@ def initial_clusters_per_class(columns: int, num_classes: int, ratio: float) -> 
 
 def _cluster_class(
     samples: np.ndarray,
+    words: np.ndarray,
     requested: int,
     max_iterations: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Class vectors for one class; clips the request to the sample count.
+
+    ``words`` are the class's packed rows, shared by every run on it.
 
     Each returned row is the *sum* of the hypervectors assigned to that
     cluster (centroid scaled by the cluster size), matching classical HDC
@@ -97,7 +101,7 @@ def _cluster_class(
     the paper's 0.01--0.1 learning-rate range trains stably.
     """
     k = max(1, min(requested, samples.shape[0]))
-    result = dot_kmeans(samples, k, max_iterations=max_iterations, rng=rng)
+    result = dot_kmeans(samples, k, max_iterations=max_iterations, rng=rng, words=words)
     sizes = np.maximum(result.cluster_sizes(), 1)
     return result.centroids * sizes[:, None]
 
@@ -153,6 +157,7 @@ def clustering_initialization(
     threshold_mode: str = "global-mean",
     normalization: str = "zscore",
     rng: Optional[Union[int, np.random.Generator]] = None,
+    packed: Optional[PackedVectors] = None,
 ) -> InitializationResult:
     """Clustering-based initialization with confusion-matrix allocation.
 
@@ -182,6 +187,9 @@ def clustering_initialization(
         will actually be deployed).
     rng:
         Seed or generator.
+    packed:
+        ``pack_encodings(encoded)``, when the caller already has it: used
+        instead of checking and packing ``encoded`` again.
     """
     samples = np.asarray(encoded)
     y = np.asarray(labels, dtype=np.int64)
@@ -191,9 +199,12 @@ def clustering_initialization(
         raise ValueError("encoded and labels must have the same length")
     if columns < num_classes:
         raise ValueError("columns must be >= num_classes")
-    # Packed once: the contract check, and every validation round's queries.
-    packed_samples = pack_encodings(samples)
-    # Checked {0, 1}: int8 class blocks take dot_kmeans's exact assignment.
+    # Packed once: the contract check, every validation round's queries and
+    # every k-means run's words.
+    packed_samples = pack_encodings(samples) if packed is None else packed
+    if packed_samples.words.shape[0] != samples.shape[0]:
+        raise ValueError("packed and encoded must hold the same samples")
+    # Checked {0, 1}: int8 class blocks take dot_kmeans's exact path.
     samples = samples.astype(np.int8, copy=False)
     present = np.unique(y)
     if present.size != num_classes or present.min() != 0 or present.max() != num_classes - 1:
@@ -202,9 +213,12 @@ def clustering_initialization(
             raise ValueError(f"training data is missing classes: {missing}")
     gen = _as_generator(rng)
 
-    class_samples = {
-        class_label: samples[y == class_label] for class_label in range(num_classes)
-    }
+    class_samples = {}
+    class_words = {}
+    for class_label in range(num_classes):
+        members = y == class_label
+        class_samples[class_label] = samples[members]
+        class_words[class_label] = packed_samples.words[members]
     class_counts = {label: block.shape[0] for label, block in class_samples.items()}
 
     # --- Phase 1: class-wise clustering of the first C * R columns.
@@ -214,8 +228,8 @@ def clustering_initialization(
     for class_label in range(num_classes):
         child = np.random.default_rng(gen.integers(0, 2**63 - 1))
         centroids_by_class[class_label] = _cluster_class(
-            class_samples[class_label], allocation[class_label],
-            kmeans_iterations, child,
+            class_samples[class_label], class_words[class_label],
+            allocation[class_label], kmeans_iterations, child,
         )
 
     rounds: List[Dict[str, object]] = []
@@ -285,6 +299,7 @@ def clustering_initialization(
             child = np.random.default_rng(gen.integers(0, 2**63 - 1))
             centroids_by_class[class_label] = _cluster_class(
                 class_samples[class_label],
+                class_words[class_label],
                 allocation[class_label],
                 kmeans_iterations,
                 child,

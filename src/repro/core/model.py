@@ -30,7 +30,7 @@ from repro.core.initialization import (
     clustering_initialization,
     random_sampling_initialization,
 )
-from repro.core.training import QuantizationAwareTrainer
+from repro.core.training import QuantizationAwareTrainer, pack_encodings
 from repro.hdc.encoders import RandomProjectionEncoder, check_encoder_shape
 from repro.hdc.engine import BinaryAMEngine, check_engine
 from repro.hdc.hypervector import _as_generator
@@ -98,6 +98,8 @@ class MEMHDModel(BinaryAMClassifier):
         if np.any(y >= self.num_classes):
             raise ValueError("label outside the configured number of classes")
         encoded = self.encode_binary(x)
+        # Checked and packed once for the initialization and the trainer.
+        packed = pack_encodings(encoded)
 
         if self.config.init_method == "clustering":
             init = clustering_initialization(
@@ -111,6 +113,7 @@ class MEMHDModel(BinaryAMClassifier):
                 threshold_mode=self.config.threshold_mode,
                 normalization=self.config.normalization,
                 rng=self._rng,
+                packed=packed,
             )
         else:
             init = random_sampling_initialization(
@@ -145,7 +148,8 @@ class MEMHDModel(BinaryAMClassifier):
                 np.asarray(val_y, dtype=np.int64),
             )
         return trainer.train(
-            self._am, encoded, y, validation=validation_encoded, rng=self._rng
+            self._am, encoded, y, validation=validation_encoded, rng=self._rng,
+            packed=packed,
         )
 
     def predict(self, features: np.ndarray, engine: str = "float") -> np.ndarray:

@@ -26,10 +26,11 @@ cheap while keeping it bit-identical to the per-sample description:
   similarities, an epoch uses two entries: the winning row (Eq. (4)) and
   the best row of the true class (Eq. (5)).  The ``{0, 1}`` training
   queries are packed once per :meth:`QuantizationAwareTrainer.train`
-  call, and :meth:`~repro.hdc.packed.PackedAM.search` of ``am.packed()``
-  returns exactly those two rows per query, with ``np.argmax``'s
-  lowest-row tie rule.  On the native backend no ``(n, C)`` score matrix
-  is built.  Its popcounts are exact integers, so both picks equal the
+  call (once per ``MEMHDModel.fit``, which shares them with the
+  initialization), and :meth:`~repro.hdc.packed.PackedAM.search` of
+  ``am.packed()`` returns exactly those two rows per query, with
+  ``np.argmax``'s lowest-row tie rule.  On the native backend no ``(n, C)``
+  score matrix is built.  Its popcounts are exact integers, so both picks equal the
   float path's.  A search is kept for as long as its binary memory is
   deployed: the search that measures an epoch's training accuracy after a
   refresh is also the next epoch's Eq. (4)/(5) input, and an epoch that
@@ -184,6 +185,7 @@ class QuantizationAwareTrainer:
         labels: np.ndarray,
         validation: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         rng: Optional[np.random.Generator] = None,
+        packed: Optional[PackedVectors] = None,
     ) -> TrainingHistory:
         """Run quantization-aware iterative learning on ``am`` in place.
 
@@ -201,6 +203,9 @@ class QuantizationAwareTrainer:
             (same ``{0, 1}`` contract).
         rng:
             Generator used only for the optional per-epoch shuffling.
+        packed:
+            ``pack_encodings(encoded)``, when the caller already has it:
+            used instead of checking and packing ``encoded`` again.
         """
         queries = np.asarray(encoded)
         y = np.asarray(labels, dtype=np.int64)
@@ -213,7 +218,10 @@ class QuantizationAwareTrainer:
                 f"encoded dimension {queries.shape[1]} does not match the AM "
                 f"dimension {am.dimension}"
             )
-        packed = pack_encodings(queries)
+        if packed is None:
+            packed = pack_encodings(queries)
+        elif packed.words.shape[0] != queries.shape[0]:
+            raise ValueError("packed and encoded must hold the same samples")
         val_packed = val_labels = None
         if validation is not None:
             val_packed = pack_encodings(np.asarray(validation[0]), "validation encoded")

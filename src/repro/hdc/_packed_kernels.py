@@ -45,6 +45,9 @@ The k-means initialization's certified assignment is
 scores over cluster sizes, kept only when every other cluster is clear of
 it by a caller-given ratio (``hdc/clustering.py`` sizes it to float64's
 error bound), else a fallback.  Its numpy twin makes the same decisions.
+The same k-means scores its seeding, its first iteration and its
+moved-row score updates with :func:`and_popcount` over a class's packed
+samples.
 
 Environment knobs
 -----------------
@@ -77,9 +80,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-#: Rows per query block of the numpy kernel; sized so the blocked AND/XOR
-#: intermediate (block * m * W words) stays cache-resident for typical AMs.
-_NUMPY_BLOCK_ROWS = 16
+#: Words of the numpy kernel's blocked AND/XOR intermediate (block * m * W):
+#: 2 MB, cache-resident.  A 128-row, 128-word AM takes 16 query rows per
+#: block; one reference row of a few words takes every query at once.
+_NUMPY_BLOCK_WORDS = 16 * 128 * 128
 
 #: Compiler-flag tiers probed in order under ``REPRO_PACKED_TIER=auto``.
 TIERS = ("native", "avx2", "portable")
@@ -604,8 +608,9 @@ def _pair_popcount(queries: np.ndarray, references: np.ndarray, op: int) -> np.n
         return out
     combine = np.bitwise_and if op == OP_AND else np.bitwise_xor
     # Block over queries so the (block, m, W) intermediate stays in cache.
-    for start in range(0, n, _NUMPY_BLOCK_ROWS):
-        stop = min(start + _NUMPY_BLOCK_ROWS, n)
+    rows = max(1, _NUMPY_BLOCK_WORDS // max(1, m * queries.shape[1]))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         combined = combine(queries[start:stop, None, :], references[None, :, :])
         out[start:stop] = np.bitwise_count(combined).sum(axis=-1, dtype=np.int64)
     return out

@@ -19,30 +19,51 @@ moved sample's new cluster, -1 in its old one).  Centroids are
 ``S_k / n_k``.
 
 For ``{0, 1}`` samples of an integer dtype (the init rounds pass the int8
-encodings), the assignment comes from the exact integer products ``P =
-X . S^T`` (a float32 GEMM, exact below ``2**24``): the native
-``certified_argmax`` picks each row's first best ``P_k / n_k`` when its
-top two ratios are further apart than the float64 dot's error bound (see
-:func:`_certified_ratio`), and the first iteration, whose centroids are
-samples, needs no bound.  Everything else uses the float64 scores and
-``np.argmax`` as before: an iteration with a row inside the bound (so
-exact ties keep float64's order), empty-cluster re-seeding, a cluster the
-re-seeding left with no members (it keeps its old centroid) and the final
-inertia.  The fitted result is bit-identical to the per-cluster
-formulation for integer-valued samples, whose sums are exact integers in
-any order; real-valued samples agree with it to rounding.
+encodings and their packed words), every score that decides is an exact
+integer taken from the packed words or from the member sums:
+
+* k-means++ scores each new centroid as ``popcount(X & x_new)``, and the
+  first iteration, whose centroids are samples, takes ``np.argmax`` of
+  ``popcount(X & X_chosen)``: the float64 products are these integers.
+* Later iterations score ``P = X . S^T``: a float32 GEMM after the first
+  update (exact below ``2**24``), kept across updates by adding
+  ``+-popcount(X & x_j)`` for each moved row ``j`` wherever
+  :func:`_moved_rows_cheaper` rates that cheaper than the GEMM.  The native
+  ``certified_argmax`` picks each row's first best ``P_k / n_k`` when its
+  top two ratios are further apart than the float64 dot's error bound (see
+  :func:`_certified_ratio`).  Member sums accumulate from the float32
+  operand; they are integers either way.
+* float64 is made only where it is read: the block's float64 copy and
+  scores are built for an iteration with a row inside the bound (so exact
+  ties keep float64's order), for empty-cluster re-seeding after the first
+  iteration, for a cluster the re-seeding left with no members (it keeps
+  its old centroid), and for :attr:`KMeansResult.inertia`, which such a
+  run computes on first read.
+
+The fitted result is bit-identical to the per-cluster formulation for
+integer-valued samples, whose sums are exact integers in any order;
+real-valued samples take the float64 path and agree with it to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.hdc import _packed_kernels as _kernels
 from repro.hdc.hypervector import _as_generator
+from repro.hdc.packed import pack_binary, words_per_vector
 from repro.hdc.similarity import dot_similarity
+
+#: What :func:`_moved_rows_cheaper` charges a moved row per sample, in
+#: multiply-adds of the float32 GEMM it would replace: a fixed cost for the
+#: pair's count, its cast and its signed adds, and a cost per popcount word.
+#: Fitted to native-backend timings at D = 128 and D = 8192.
+_PAIR_COST = 200
+_WORD_COST = 2
 
 
 @dataclass
@@ -57,7 +78,8 @@ class KMeansResult:
         ``(n,)`` integer cluster index per input sample.
     inertia:
         Sum over samples of the (negative) dot similarity to the assigned
-        centroid; lower is better.  Kept for convergence diagnostics.
+        centroid; lower is better.  Kept for convergence diagnostics; a run
+        on ``{0, 1}`` integer samples computes it on first read.
     iterations:
         Number of Lloyd iterations actually executed.
     converged:
@@ -67,9 +89,15 @@ class KMeansResult:
 
     centroids: np.ndarray
     assignments: np.ndarray
-    inertia: float
+    _inertia: Union[float, Callable[[], float]] = field(repr=False)
     iterations: int
     converged: bool
+
+    @property
+    def inertia(self) -> float:
+        if callable(self._inertia):
+            self._inertia = self._inertia()
+        return self._inertia
 
     @property
     def num_clusters(self) -> int:
@@ -80,9 +108,12 @@ class KMeansResult:
         return np.bincount(self.assignments, minlength=self.num_clusters)
 
 
-def _init_centroids_kmeanspp(
-    samples: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
+def _kmeanspp_indices(
+    samples: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    words: Optional[np.ndarray] = None,
+) -> List[int]:
     """K-means++ style seeding adapted to the dot-similarity metric.
 
     The first centroid is a uniformly random sample; each subsequent
@@ -91,13 +122,19 @@ def _init_centroids_kmeanspp(
     the initial centroids across the point cloud.  The closest-centroid
     similarity is kept as a running maximum, so each step scores only the
     newest centroid (``k`` similarity columns instead of ``~k^2 / 2``).
+    Given the packed ``words`` of ``{0, 1}`` samples, a column is
+    ``popcount(X & x_new)``: the float64 product's integers.
     """
     n = samples.shape[0]
     chosen = [int(rng.integers(0, n))]
     best = np.full(n, -np.inf)
     for _ in range(1, k):
-        newest = samples[chosen[-1] : chosen[-1] + 1]
-        np.maximum(best, dot_similarity(samples, newest)[:, 0], out=best)
+        newest = chosen[-1]
+        if words is None:
+            scores = dot_similarity(samples, samples[newest : newest + 1])[:, 0]
+        else:
+            scores = _kernels.and_popcount(words, words[newest : newest + 1])[:, 0]
+        np.maximum(best, scores, out=best)
         # Convert "most similar" into a non-negative dissimilarity weight.
         weights = best.max() - best
         total = float(weights.sum())
@@ -107,24 +144,28 @@ def _init_centroids_kmeanspp(
         else:
             candidate = int(rng.choice(n, p=weights / total))
         chosen.append(candidate)
-    return samples[chosen].astype(np.float64).copy()
+    return chosen
 
 
-def _exact_operand(samples: np.ndarray, arr: np.ndarray) -> Optional[np.ndarray]:
-    """``{0, 1}`` integer samples in the dtype whose GEMM against the member
-    sums is exact; None for any other samples.
+def _init_centroids_kmeanspp(
+    samples: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    words: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The k-means++ seeds (:func:`_kmeanspp_indices`) as float64 rows."""
+    return samples[_kmeanspp_indices(samples, k, rng, words)].astype(np.float64)
 
-    Every score ``x . S_k`` is an integer at most ``D * n``, and so is every
-    partial sum, so float32 is exact while ``D * n < 2**24``; beyond that
-    the float64 ``arr`` is exact.  Only an integer dtype is checked (by its
-    min and max): float samples take the float64 path without a rescan.
+
+def _binary_integer(samples: np.ndarray) -> bool:
+    """Whether ``samples`` are ``{0, 1}`` values of an integer dtype.
+
+    Only an integer dtype is scanned (its min and max): float samples take
+    the float64 path without a rescan, and so do empty ones.
     """
-    raw = np.asarray(samples)
-    if not np.issubdtype(raw.dtype, np.integer):
-        return None
-    if raw.size and (raw.min() < 0 or raw.max() > 1):
-        return None
-    return raw.astype(np.float32) if raw.size < 2**24 else arr
+    if not np.issubdtype(samples.dtype, np.integer) or not samples.size:
+        return False
+    return bool(samples.min() >= 0 and samples.max() <= 1)
 
 
 def _certified_ratio(dimension: int) -> float:
@@ -149,24 +190,16 @@ def _certified_ratio(dimension: int) -> float:
     return 1.0 - (2.0 * gamma + 4.0 * unit) * (1.0 + 2.0**-40)
 
 
-def _exact_assignment(
-    exact: np.ndarray,
-    centroids: np.ndarray,
-    sums: Optional[np.ndarray],
-    sizes: Optional[np.ndarray],
-    ratio: float,
-) -> Optional[np.ndarray]:
-    """float64's ``argmax`` of the scores, from exact integer products.
-
-    Before the first update (``sums`` None) the centroids are samples, so
-    the float64 scores are the exact products and decide directly.  After
-    it, ``P = X . S^T`` scores ``P_k / n_k``, decided only when every row
-    is certified; None asks for the float64 scores.
-    """
-    if sums is None:
-        return np.argmax(exact @ centroids.astype(exact.dtype, copy=False).T, axis=1)
-    products = exact @ sums.astype(exact.dtype, copy=False).T
-    return _kernels.certified_argmax(products, sizes, ratio)
+def _signed_one_hot(
+    moved: np.ndarray, old: np.ndarray, new: np.ndarray, num_clusters: int, dtype
+) -> np.ndarray:
+    """``(k, moved)`` matrix with +1 in each moved sample's new cluster and
+    -1 in its old one."""
+    delta = np.zeros((num_clusters, moved.size), dtype=dtype)
+    columns = np.arange(moved.size)
+    delta[new[moved], columns] = 1
+    delta[old[moved], columns] = -1
+    return delta
 
 
 def _member_sums(
@@ -179,21 +212,134 @@ def _member_sums(
     """Every cluster's member sum after ``old`` assignments become ``new``.
 
     The first update sums every cluster with one ``(k x n)`` one-hot
-    product; later ones add ``delta @ arr[moved]`` in place, with ``delta``
-    +1 in each moved sample's new cluster and -1 in its old one.  Sums of
-    integer samples are exact integers either way.
+    product; later ones add ``delta @ arr[moved]`` in place (see
+    :func:`_signed_one_hot`).  Both run in ``arr``'s dtype; sums of integer
+    samples are exact integers either way.
     """
     if sums is None:
-        indicator = np.zeros((num_clusters, arr.shape[0]))
-        indicator[new, np.arange(arr.shape[0])] = 1.0
+        indicator = np.zeros((num_clusters, arr.shape[0]), dtype=arr.dtype)
+        indicator[new, np.arange(arr.shape[0])] = 1
         return indicator @ arr
     moved = np.flatnonzero(old != new)
-    delta = np.zeros((num_clusters, moved.size))
-    columns = np.arange(moved.size)
-    delta[new[moved], columns] = 1.0
-    delta[old[moved], columns] = -1.0
-    sums += delta @ arr[moved]
+    sums += _signed_one_hot(moved, old, new, num_clusters, arr.dtype) @ arr[moved]
     return sums
+
+
+def _moved_rows_cheaper(moved: int, words: int, dimension: int, k: int) -> bool:
+    """Whether adding ``moved`` rows' popcount columns to ``P`` costs less
+    than the ``(n, D) x (D, k)`` GEMM that recomputes it.
+
+    Per sample, the GEMM costs ``D * k`` multiply-adds, and a moved row
+    :data:`_PAIR_COST` plus :data:`_WORD_COST` per word.  With ``k = 10``,
+    the update wins for up to 179 moved rows at ``D = 8192`` (128 words)
+    and for up to 6 at ``D = 128`` (2 words).
+    """
+    return moved * (_PAIR_COST + _WORD_COST * words) < dimension * k
+
+
+def _inertia(
+    samples: np.ndarray,
+    centroids: np.ndarray,
+    assignments: np.ndarray,
+    sims: Optional[np.ndarray] = None,
+) -> float:
+    """Negative summed dot similarity of each sample to its centroid."""
+    if sims is None:
+        sims = dot_similarity(samples, centroids)
+    return -float(sims[np.arange(assignments.shape[0]), assignments].sum())
+
+
+def _lloyd(
+    samples: np.ndarray,
+    words: Optional[np.ndarray],
+    chosen: np.ndarray,
+    max_iterations: int,
+) -> KMeansResult:
+    """Lloyd iterations from the seeds ``samples[chosen]``.
+
+    ``words`` are the packed rows of ``{0, 1}`` integer samples, which are
+    scored from exact integers (see the module docstring); None means
+    float64 samples, scored by float64 GEMMs throughout.
+    """
+    n, dimension = samples.shape
+    num_clusters = len(chosen)
+    binary = words is not None
+    rows = np.arange(n)
+    centroids = samples[chosen].astype(np.float64)
+    # The sums' and GEMM's operand: float32 is exact while every score (at
+    # most D * n) is below 2**24.
+    small = binary and samples.size < 2**24
+    operand = samples.astype(np.float32 if small else np.float64, copy=False)
+    wide = operand if operand.dtype == np.float64 else None
+
+    def float64_scores() -> np.ndarray:
+        nonlocal wide
+        if wide is None:
+            wide = samples.astype(np.float64)
+        return dot_similarity(wide, centroids)
+
+    ratio = _certified_ratio(dimension)
+    # The centroids are samples: popcounts are the float64 scores exactly.
+    scores = _kernels.and_popcount(words, words[chosen]) if binary else None
+    assignments = np.full(n, -1, dtype=np.int64)
+    sums: Optional[np.ndarray] = None
+    sizes: Optional[np.ndarray] = None
+    converged = False
+    iterations = 0
+    sims = None
+    for iterations in range(1, max_iterations + 1):
+        sims = new_assignments = None
+        if binary and sums is None:
+            new_assignments = np.argmax(scores, axis=1)
+        elif binary and sizes.all():
+            # A cluster the re-seeding emptied keeps a centroid that is not
+            # sums / sizes: only float64 scores it.
+            if scores is None:
+                scores = operand @ sums.T
+            new_assignments = _kernels.certified_argmax(scores, sizes, ratio)
+        if new_assignments is None:
+            sims = float64_scores()  # (n, k)
+            new_assignments = np.argmax(sims, axis=1)
+        # Re-seed empty clusters from the least-well-represented samples so
+        # that every initial class vector covers part of the point cloud.
+        counts = np.bincount(new_assignments, minlength=num_clusters)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            if sims is None:
+                sims = scores.astype(np.float64) if sums is None else float64_scores()
+            best = sims[rows, new_assignments]
+            worst_samples = np.argsort(best)[: empty.size]
+            for cluster, sample in zip(empty, worst_samples):
+                new_assignments[sample] = cluster
+        if np.array_equal(new_assignments, assignments):
+            converged = True
+            break
+        # Keep P = X . S^T through the update where that is cheaper.
+        moved = np.flatnonzero(assignments != new_assignments)
+        if sums is None or scores is None or not _moved_rows_cheaper(
+            moved.size, words.shape[1], dimension, num_clusters
+        ):
+            scores = None
+        else:
+            delta = _signed_one_hot(
+                moved, assignments, new_assignments, num_clusters, scores.dtype
+            )
+            pairs = _kernels.and_popcount(words, words[moved])
+            scores += pairs.astype(scores.dtype) @ delta.T
+        sums = _member_sums(sums, operand, assignments, new_assignments, num_clusters)
+        assignments = new_assignments
+        sizes = np.bincount(assignments, minlength=num_clusters)
+        filled = sizes > 0
+        centroids[filled] = sums[filled] / sizes[filled, None]
+
+    # Unless converged, the last Lloyd step moved the centroids after they
+    # were scored.  A binary run's inertia waits for its first read and
+    # keeps no float64 copy of the samples.
+    last = sims if converged else None
+    inertia = partial(_inertia, samples, centroids, assignments, last)
+    return KMeansResult(
+        centroids, assignments, inertia if binary else inertia(), iterations, converged
+    )
 
 
 def dot_kmeans(
@@ -202,6 +348,7 @@ def dot_kmeans(
     max_iterations: int = 50,
     rng: Optional[Union[int, np.random.Generator]] = None,
     init: str = "kmeans++",
+    words: Optional[np.ndarray] = None,
 ) -> KMeansResult:
     """Lloyd-style K-means using dot similarity for the assignment step.
 
@@ -218,15 +365,20 @@ def dot_kmeans(
         re-seeding.
     init:
         ``"kmeans++"`` (default) or ``"random"`` (uniform sample choice).
+    words:
+        For ``{0, 1}`` samples of an integer dtype, their packed ``(n, W)``
+        uint64 rows (``pack_binary(samples).words``), so a caller that
+        clusters one block repeatedly packs it once; packed here when
+        omitted, ignored for other samples.
 
     Returns
     -------
     KMeansResult
     """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2:
+    raw = np.asarray(samples)
+    if raw.ndim != 2:
         raise ValueError("samples must be a 2-D array")
-    n = arr.shape[0]
+    n = raw.shape[0]
     if num_clusters < 1:
         raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
     if num_clusters > n:
@@ -235,65 +387,32 @@ def dot_kmeans(
             f"samples ({n})"
         )
     gen = _as_generator(rng)
+    binary = _binary_integer(raw)
+    arr = raw if binary else np.asarray(raw, dtype=np.float64)
 
     if num_clusters == 1:
-        centroid = arr.mean(axis=0, keepdims=True)
+        centroid = arr.mean(axis=0, dtype=np.float64, keepdims=True)
         assignments = np.zeros(n, dtype=np.int64)
-        inertia = -float(dot_similarity(arr, centroid).sum())
-        return KMeansResult(centroid, assignments, inertia, 0, True)
+        inertia = partial(_inertia, arr, centroid, assignments)
+        return KMeansResult(
+            centroid, assignments, inertia if binary else inertia(), 0, True
+        )
 
+    if binary and words is None:
+        words = pack_binary(raw, validate=False).words
+    elif binary and words.shape != (n, words_per_vector(raw.shape[1])):
+        raise ValueError(
+            f"words of shape {words.shape} do not pack samples of shape {raw.shape}"
+        )
     if init == "kmeans++":
-        centroids = _init_centroids_kmeanspp(arr, num_clusters, gen)
+        seeds = _kmeanspp_indices(arr, num_clusters, gen, words if binary else None)
+        chosen = np.asarray(seeds)
     elif init == "random":
-        indices = gen.choice(n, size=num_clusters, replace=False)
-        centroids = arr[indices].astype(np.float64).copy()
+        chosen = gen.choice(n, size=num_clusters, replace=False)
     else:
         raise ValueError(f"unknown init method: {init!r}")
 
-    exact = _exact_operand(samples, arr)
-    ratio = _certified_ratio(arr.shape[1])
-    rows = np.arange(n)
-    assignments = np.full(n, -1, dtype=np.int64)
-    sums: Optional[np.ndarray] = None
-    sizes: Optional[np.ndarray] = None
-    converged = False
-    iterations = 0
-    sims = None
-    for iterations in range(1, max_iterations + 1):
-        sims = new_assignments = None
-        # A cluster the re-seeding emptied keeps a centroid that is not
-        # sums / sizes: only float64 scores it.
-        if exact is not None and (sizes is None or sizes.all()):
-            new_assignments = _exact_assignment(exact, centroids, sums, sizes, ratio)
-        if new_assignments is None:
-            sims = dot_similarity(arr, centroids)  # (n, k)
-            new_assignments = np.argmax(sims, axis=1)
-        # Re-seed empty clusters from the least-well-represented samples so
-        # that every initial class vector covers part of the point cloud.
-        counts = np.bincount(new_assignments, minlength=num_clusters)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            if sims is None:
-                sims = dot_similarity(arr, centroids)
-            best = sims[rows, new_assignments]
-            worst_samples = np.argsort(best)[: empty.size]
-            for cluster, sample in zip(empty, worst_samples):
-                new_assignments[sample] = cluster
-        if np.array_equal(new_assignments, assignments):
-            converged = True
-            break
-        sums = _member_sums(sums, arr, assignments, new_assignments, num_clusters)
-        assignments = new_assignments
-        sizes = np.bincount(assignments, minlength=num_clusters)
-        filled = sizes > 0
-        centroids[filled] = sums[filled] / sizes[filled, None]
-
-    if sims is None or not converged:
-        # The last Lloyd step moved the centroids after they were scored,
-        # or a certified assignment scored them without float64.
-        sims = dot_similarity(arr, centroids)
-    inertia = -float(sims[rows, assignments].sum())
-    return KMeansResult(centroids, assignments, inertia, iterations, converged)
+    return _lloyd(arr, words if binary else None, chosen, max_iterations)
 
 
 def classwise_clustering(
@@ -325,7 +444,7 @@ def classwise_clustering(
         ``{class_label: KMeansResult}`` for every class present in
         ``labels``.
     """
-    arr = np.asarray(samples, dtype=np.float64)
+    arr = np.asarray(samples)
     lab = np.asarray(labels)
     if arr.shape[0] != lab.shape[0]:
         raise ValueError("samples and labels must have the same length")
@@ -341,6 +460,7 @@ def classwise_clustering(
 
     results: Dict[int, KMeansResult] = {}
     for class_label in classes:
+        # Each class keeps the samples' dtype: {0, 1} integers stay exact.
         class_samples = arr[lab == class_label]
         requested = clusters_for(int(class_label))
         k = max(1, min(requested, class_samples.shape[0]))

@@ -219,3 +219,28 @@ class TestTrainingVariants:
                 )
                 bucket.append(history.initial_accuracy)
         assert np.mean(clustering_inits) > np.mean(random_inits)
+
+    @pytest.mark.parametrize("init_method", ["clustering", "random"])
+    def test_fit_checks_and_packs_its_encodings_once(
+        self, tiny_dataset, monkeypatch, init_method
+    ):
+        # The initialization and the trainer share one packed training set.
+        from repro.core import training
+
+        packed_rows = []
+        pack_binary = training.pack_binary
+
+        def spy(encoded, *args, **kwargs):
+            packed_rows.append(len(encoded))
+            return pack_binary(encoded, *args, **kwargs)
+
+        monkeypatch.setattr(training, "pack_binary", spy)
+        model = MEMHDModel(
+            tiny_dataset.num_features,
+            tiny_dataset.num_classes,
+            MEMHDConfig(dimension=48, columns=16, epochs=3, seed=9,
+                        init_method=init_method),
+            rng=9,
+        )
+        model.fit(tiny_dataset.train_features, tiny_dataset.train_labels)
+        assert packed_rows == [tiny_dataset.train_labels.shape[0]]

@@ -8,6 +8,7 @@ from repro.core.model import MEMHDModel
 from repro.core.online import OnlineMEMHD
 from repro.data.synthetic import SyntheticSpec, make_synthetic_dataset
 from repro.hdc import _packed_kernels as kernels
+from repro.hdc.packed import PackedAM
 
 
 @pytest.fixture()
@@ -341,13 +342,29 @@ class TestNoScoreMatrix:
         self, tiny_dataset, monkeypatch
     ):
         """On the native backend, the init allocation rounds, the trainer
-        and partial_fit search without the (n, C) pair-count matrix."""
+        and partial_fit search without the (n, C) pair-count matrix against
+        an AM's packed memory.  Pair counts against other words (k-means
+        scoring samples against samples) are allowed."""
         if kernels.backend_name() != "native":
             pytest.skip("the numpy backend's search reduces pair counts")
 
-        def no_score_matrix(*args, **kwargs):
-            raise AssertionError("an (n, C) score matrix was built")
+        memories = []
+        packed_am_init = PackedAM.__init__
 
+        def recording_init(self, memory, *args, **kwargs):
+            memories.append(memory.words)
+            packed_am_init(self, memory, *args, **kwargs)
+
+        pair_popcount = kernels._pair_popcount
+        other_pairs = []
+
+        def no_score_matrix(queries, references, op):
+            if any(np.shares_memory(references, words) for words in memories):
+                raise AssertionError("an (n, C) score matrix was built")
+            other_pairs.append(references.shape[0])
+            return pair_popcount(queries, references, op)
+
+        monkeypatch.setattr(PackedAM, "__init__", recording_init)
         monkeypatch.setattr(kernels, "_pair_popcount", no_score_matrix)
         model = MEMHDModel(
             tiny_dataset.num_features,
@@ -361,3 +378,4 @@ class TestNoScoreMatrix:
             tiny_dataset.test_features, tiny_dataset.test_labels
         )
         assert stats["updates"] >= 0
+        assert memories and other_pairs

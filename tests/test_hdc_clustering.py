@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import repro.hdc.clustering as clustering
 from repro.hdc import _packed_kernels as kernels
 from repro.hdc.clustering import classwise_clustering, dot_kmeans
+from repro.hdc.packed import pack_binary
 
 
 def _blobs(num_blobs, per_blob, dimension, separation, rng):
@@ -349,7 +350,8 @@ class TestRunningSumsAndCertifiedAssignment:
         # float32 below 2**24 entries, float64 (the samples' own copy) above.
         exact = samples.astype(data.draw(st.sampled_from([np.float32, np.float64])))
         ratio = clustering._certified_ratio(dimension)
-        picked = clustering._exact_assignment(exact, centroids, sums, sizes, ratio)
+        products = exact @ sums.astype(exact.dtype).T
+        picked = kernels.certified_argmax(products, sizes, ratio)
         if picked is not None:
             scores = samples.astype(np.float64) @ centroids.T
             np.testing.assert_array_equal(picked, np.argmax(scores, axis=1))
@@ -362,9 +364,9 @@ class TestRunningSumsAndCertifiedAssignment:
         samples = np.ones((1, 3), dtype=np.int8)
         centroids = sums / sizes[:, None]
         assert np.argmax(samples.astype(np.float64) @ centroids.T) == 1
-        exact = clustering._exact_operand(samples, samples.astype(np.float64))
+        products = samples.astype(np.float32) @ sums.astype(np.float32).T
         ratio = clustering._certified_ratio(3)
-        assert clustering._exact_assignment(exact, centroids, sums, sizes, ratio) is None
+        assert kernels.certified_argmax(products, sizes, ratio) is None
 
     def test_integer_samples_outside_binary_use_float64(self):
         samples = np.random.default_rng(4).integers(-3, 4, size=(60, 6))
@@ -469,3 +471,155 @@ class TestCertifiedArgmax:
         with pytest.raises(ValueError):
             kernels.certified_argmax(np.zeros((2, 0)), np.ones(0), 0.5)
         assert kernels.certified_argmax(np.zeros((0, 3)), np.ones(3), 0.5).shape == (0,)
+
+
+# ------------------------------------------- scores from packed words
+def _int8_binary_samples(seed, n, dimension):
+    return _binary_samples(seed, n, dimension).astype(np.int8)
+
+
+class TestPackedWordScores:
+    """{0, 1} integer samples: seeding and the first iteration score
+    popcounts of the packed words, P = X . S^T is kept across updates, and
+    float64 is made only when read."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [2, 5, 17])
+    def test_packed_seeding_matches_all_chosen_recompute(self, seed, k, monkeypatch):
+        samples = _int8_binary_samples(seed, 120, 70)
+        words = pack_binary(samples).words
+        scored = []
+        monkeypatch.setattr(clustering, "dot_similarity", lambda *a: scored.append(a))
+        fast = clustering._init_centroids_kmeanspp(
+            samples, k, np.random.default_rng(seed), words
+        )
+        reference = _reference_seeding(
+            samples.astype(np.float64), k, np.random.default_rng(seed)
+        )
+        np.testing.assert_array_equal(fast, reference)
+        assert not scored
+
+    @staticmethod
+    def _check_kept_scores(patch, samples, update_moved_rows):
+        """Spy on the run: every certified assignment must read exactly
+        X . S^T of the current member sums.  Returns the list of checks."""
+        latest, checked = [], []
+        member_sums = clustering._member_sums
+        certified_argmax = kernels.certified_argmax
+
+        def sums_spy(*args):
+            latest[:] = [member_sums(*args)]
+            return latest[0]
+
+        def argmax_spy(products, sizes, ratio):
+            fresh = samples.astype(np.float64) @ latest[0].astype(np.float64).T
+            np.testing.assert_array_equal(products, fresh)
+            checked.append(True)
+            return certified_argmax(products, sizes, ratio)
+
+        patch.setattr(clustering, "_member_sums", sums_spy)
+        patch.setattr(kernels, "certified_argmax", argmax_spy)
+        patch.setattr(clustering, "_moved_rows_cheaper", lambda *a: update_moved_rows)
+        return checked
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tie_heavy_runs(), st.booleans())
+    def test_kept_scores_equal_a_fresh_product(self, case, update_moved_rows):
+        # Whichever way P is kept (the moved rows' popcounts or the GEMM),
+        # it is X . S^T, and the result stays the reference's.
+        samples, k, max_iterations, seed = case
+        samples = samples.astype(np.int8)
+        with pytest.MonkeyPatch.context() as patch:
+            self._check_kept_scores(patch, samples, update_moved_rows)
+            _assert_matches_reference(samples, k, max_iterations, seed)
+
+    @pytest.mark.parametrize("update_moved_rows", [False, True])
+    def test_kept_scores_on_a_long_run(self, update_moved_rows, monkeypatch):
+        samples = _int8_binary_samples(3, 400, 130)
+        checked = self._check_kept_scores(monkeypatch, samples, update_moved_rows)
+        result = _assert_matches_reference(samples, 9, 50, 3)
+        assert result.iterations >= 4 and len(checked) >= 3
+
+    def test_no_float64_until_inertia_is_read(self, monkeypatch):
+        gen = np.random.default_rng(8)
+        prototypes = gen.integers(0, 2, size=(4, 64))
+        flips = gen.random((150, 64)) < 0.2
+        samples = (prototypes[gen.integers(0, 4, size=150)] ^ flips).astype(np.int8)
+        scored = []
+        dot_similarity = clustering.dot_similarity
+
+        def spy(queries, references, *args, **kwargs):
+            scored.append(np.shape(references)[0])
+            return dot_similarity(queries, references, *args, **kwargs)
+
+        monkeypatch.setattr(clustering, "dot_similarity", spy)
+        result = dot_kmeans(samples, 5, rng=8)
+        assert result.iterations >= 3
+        assert scored == []
+        inertia = result.inertia
+        assert scored == [5]
+        assert result.inertia == inertia and len(scored) == 1
+        _, _, reference, _ = _reference_kmeans(
+            samples.astype(np.float64), 5, 50, np.random.default_rng(8)
+        )
+        assert inertia == reference
+
+    def test_given_words_are_checked_and_equal_packing_here(self):
+        samples = _int8_binary_samples(5, 90, 100)
+        words = pack_binary(samples).words
+        given = dot_kmeans(samples, 6, rng=1, words=words)
+        packed_here = dot_kmeans(samples, 6, rng=1)
+        np.testing.assert_array_equal(given.centroids, packed_here.centroids)
+        np.testing.assert_array_equal(given.assignments, packed_here.assignments)
+        with pytest.raises(ValueError, match="do not pack"):
+            dot_kmeans(samples, 6, rng=1, words=words[:, :1])
+
+    def test_classwise_keeps_integer_samples_exact(self, monkeypatch):
+        samples = _int8_binary_samples(6, 120, 64)
+        labels = np.repeat(np.arange(3), 40)
+        blocks = []
+        lloyd = clustering._lloyd
+
+        def spy(block, words, *args):
+            blocks.append((block.dtype, words is not None))
+            return lloyd(block, words, *args)
+
+        monkeypatch.setattr(clustering, "_lloyd", spy)
+        exact = classwise_clustering(samples, labels, 4, rng=2)
+        assert blocks == [(np.int8, True)] * 3
+        floats = classwise_clustering(samples.astype(np.float64), labels, 4, rng=2)
+        for label in exact:
+            for field in ("centroids", "assignments"):
+                np.testing.assert_array_equal(
+                    getattr(exact[label], field), getattr(floats[label], field)
+                )
+
+
+def test_initialization_matches_reference_kmeans(monkeypatch):
+    # A block with fewer samples than dimensions (the serving workload's
+    # shape), clustered over several allocation rounds: the init memory is
+    # the reference k-means's, bit for bit.
+    from repro.core import initialization
+
+    gen = np.random.default_rng(21)
+    num_classes, per_class, dimension = 4, 45, 300
+    prototypes = gen.integers(0, 2, size=(num_classes * 3, dimension))
+    labels = np.repeat(np.arange(num_classes), per_class)
+    picks = labels * 3 + gen.integers(0, 3, size=labels.size)
+    flips = gen.random((labels.size, dimension)) < 0.25
+    encoded = (prototypes[picks] ^ flips).astype(np.int8)
+    kwargs = dict(columns=30, num_classes=num_classes, cluster_ratio=0.5, rng=4)
+
+    fast = initialization.clustering_initialization(encoded, labels, **kwargs)
+
+    def reference(samples, k, max_iterations, rng, words):
+        centroids, assignments, inertia, converged = _reference_kmeans(
+            samples.astype(np.float64), k, max_iterations, rng
+        )
+        return clustering.KMeansResult(centroids, assignments, inertia, 0, converged)
+
+    monkeypatch.setattr(initialization, "dot_kmeans", reference)
+    slow = initialization.clustering_initialization(encoded, labels, **kwargs)
+    assert fast.allocation_rounds and fast.allocation_rounds == slow.allocation_rounds
+    assert fast.clusters_per_class == slow.clusters_per_class
+    np.testing.assert_array_equal(fast.fp_memory, slow.fp_memory)

@@ -2,25 +2,26 @@
 
 A serving runtime is only as good as its measured tail latency, so this
 module ships the measurement tool next to the server: a stdlib-only
-(``urllib`` + threads) load generator that drives any
+(sockets + threads) load generator that drives any
 :class:`repro.runtime.server.ModelServer`-compatible endpoint and reports
 the numbers capacity planning actually needs -- achieved QPS and the
 p50/p95/p99 latency quantiles, plus per-status error counts.
 
-Two standard modes:
+One worker loop serves both standard modes.  The calling thread is the
+only arrival source: it queues arrival indices, and each of
+``concurrency`` workers takes the next one, sends it on its own
+keep-alive connection and writes the outcome to that arrival's slot.
 
-* **closed loop** (default) -- ``concurrency`` workers each keep exactly
-  one request in flight, back to back.  Measures the server's saturation
-  throughput; latency is response time under full load.
-* **open loop** -- request ``k`` is due at ``k / rate`` seconds on a
-  shared arrival clock, and ``concurrency`` workers take the arrivals
-  round robin.  A worker sends each of its arrivals when it is due, or
-  at once if it is late.  Each latency is timed from the actual send, not
-  from the due time.  A worker held up by a slow response therefore sends
-  its next arrivals late, and that wait is not counted: this loop still
-  has coordinated omission.  It shows server-side queueing delay and
-  429 shedding under the offered load, but its percentiles understate
-  the delay a client on the schedule would see.
+* **closed loop** (default) -- arrivals are queued as fast as workers
+  take them, so each worker keeps one request in flight, back to back.
+  Measures the server's saturation throughput; latency runs from the
+  send.
+* **open loop** -- arrival ``k`` is queued at its due time
+  ``t0 + k / rate`` whatever happened to earlier arrivals, and any idle
+  worker takes it.  Latency runs from the due time, not from the send,
+  so an arrival that waited behind a slow response shows that wait (no
+  coordinated omission): the percentiles are the delay a client on the
+  schedule would see, server-side queueing and 429 shedding included.
 
 Feature payloads are synthesized once from the server's own
 ``/healthz``/``/manifest`` metadata (``num_features``), so the client
@@ -33,16 +34,18 @@ gate the batched-vs-unbatched speedup.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import queue
 import socket
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
+from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import quote, urlsplit
 
 import numpy as np
 
@@ -59,10 +62,11 @@ REQUEST_TIMEOUT_S = 30.0
 class LoadReport:
     """Aggregated result of one load-generation run.
 
-    Latencies are wall-clock seconds per request (submit to decoded
-    response).  ``errors_by_status`` counts non-200 responses (429/503
-    shed work, 4xx/5xx failures); transport-level failures count under
-    status ``0``.
+    Latencies are wall-clock seconds per successful request, up to its
+    fully read response: from the due time in open mode (waiting for a
+    free worker counts), from the send in closed mode.
+    ``errors_by_status`` counts non-200 responses (429/503 shed work,
+    4xx/5xx failures); transport-level failures count under status ``0``.
     """
 
     mode: str
@@ -109,6 +113,7 @@ class LoadReport:
 
     def as_dict(self) -> Dict[str, Any]:
         """Flat summary row (the CLI table / benchmark record)."""
+        by_status = sorted(self.errors_by_status.items())
         return {
             "mode": self.mode,
             "concurrency": self.concurrency,
@@ -117,10 +122,7 @@ class LoadReport:
             "requests": self.requests,
             "queries": self.queries,
             "errors": self.errors,
-            "errors_by_status": {
-                str(status): count
-                for status, count in sorted(self.errors_by_status.items())
-            },
+            "errors_by_status": {str(status): count for status, count in by_status},
             "qps": self.qps,
             "requests_per_s": self.request_rate,
             "p50_ms": 1000.0 * self.latency_percentile(0.50),
@@ -129,35 +131,82 @@ class LoadReport:
         }
 
 
-class _Collector:
-    """Thread-safe accumulation of per-request outcomes."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.requests = 0
-        self.queries = 0
-        self.errors = 0
-        self.errors_by_status: Dict[int, int] = {}
-        self.latencies: List[float] = []
-
-    def success(self, queries: int, seconds: float) -> None:
-        with self._lock:
-            self.requests += 1
-            self.queries += int(queries)
-            self.latencies.append(float(seconds))
-
-    def failure(self, status: int) -> None:
-        with self._lock:
-            self.requests += 1
-            self.errors += 1
-            self.errors_by_status[int(status)] = (
-                self.errors_by_status.get(int(status), 0) + 1
-            )
+def _path(verb: str, model: Optional[str] = None) -> str:
+    """``/<verb>`` on the default model, ``/models/<model>/<verb>`` on a named one."""
+    return f"/{verb}" if model is None else f"/models/{quote(model, safe='')}/{verb}"
 
 
-def _get_json(url: str, timeout: float = REQUEST_TIMEOUT_S) -> Dict[str, Any]:
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
+class _Connection:
+    """One raw keep-alive HTTP/1.1 client connection.
+
+    Requests are serialized up front (:meth:`request`), so a timed send
+    is one ``sendall`` plus a minimal response read: the measurement
+    bills the server, not a client-side HTTP stack.  The socket opens on
+    first use and is dropped after a transport failure or a response
+    that says ``Connection: close`` (a draining server); the next send
+    reconnects.
+    """
+
+    def __init__(self, url: str, timeout: float = REQUEST_TIMEOUT_S) -> None:
+        parsed = urlsplit(url)
+        if parsed.scheme != "http" or not parsed.hostname:
+            raise ValueError(f"expected an http://host:port URL, got {url!r}")
+        self.address = (parsed.hostname, parsed.port or 80)
+        self.timeout = timeout
+        self.sock: Optional[socket.socket] = None
+
+    def request(self, path: str, payload: Any = None) -> bytes:
+        """The whole request as bytes: a GET, or a POST of ``payload`` as JSON."""
+        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        head = (
+            f"{'POST' if body else 'GET'} {path} HTTP/1.1\r\nHost: {self.address[0]}"
+            f"\r\nContent-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+        )
+        return head.encode("ascii") + body
+
+    def send(self, request: bytes) -> Tuple[int, bytes]:
+        """Send one serialized request; ``(status, body)`` of the response.
+
+        Minimal HTTP/1.1 parsing: status line and headers, then exactly
+        Content-Length body bytes (the server never chunks; requests are
+        not pipelined, so nothing follows the body).  A transport failure
+        or a malformed response drops the socket and comes back as status
+        ``0`` with the error text as its body.
+        """
+        try:
+            if self.sock is None:
+                self.sock = socket.create_connection(self.address, self.timeout)
+                # Request writes must not queue behind delayed ACKs.
+                self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.sock.sendall(request)
+            data = found = b""
+            while not found or len(body) < int(fields.get(b"content-length", 0)):
+                if not (chunk := self.sock.recv(65536)):
+                    raise ConnectionError("server closed the connection mid-response")
+                data += chunk
+                head, found, body = data.partition(b"\r\n\r\n")
+                lines = head.lower().split(b"\r\n")
+                fields = dict(line.split(b":", 1) for line in lines[1:] if b":" in line)
+            status = int(lines[0][9:12])
+        except (OSError, ValueError) as error:
+            status, body, fields = 0, str(error).encode(), {b"connection": b"close"}
+        if fields.get(b"connection", b"").strip() == b"close":
+            self.close()
+        return status, body
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+
+
+def _call(url: str, path: str, timeout: float, payload: Any = None) -> Dict[str, Any]:
+    """One request on its own connection, decoded; ``OSError`` unless 200."""
+    with closing(_Connection(url, timeout)) as connection:
+        status, reply = connection.send(connection.request(path, payload))
+    if status != 200:
+        raise OSError(f"{path} answered status {status}: {reply[:200]!r}")
+    return json.loads(reply)
 
 
 def fetch_server_stats(url: str) -> Dict[str, Any]:
@@ -168,7 +217,7 @@ def fetch_server_stats(url: str) -> Dict[str, Any]:
     per-worker payloads under ``"workers"`` -- which is how
     ``repro loadtest`` prints per-worker attribution after a run.
     """
-    return _get_json(f"{url.rstrip('/')}/stats")
+    return _call(url, "/stats", REQUEST_TIMEOUT_S)
 
 
 def server_num_features(url: str, model: Optional[str] = None) -> int:
@@ -177,16 +226,10 @@ def server_num_features(url: str, model: Optional[str] = None) -> int:
     Uses ``/models/<model>/manifest`` for a named model, ``/healthz`` for
     the default one.
     """
-    if model is not None:
-        manifest = _get_json(f"{url}/models/{model}/manifest")
-        value = manifest.get("num_features")
-    else:
-        value = _get_json(f"{url}/healthz").get("num_features")
+    verb = "healthz" if model is None else "manifest"
+    value = _call(url, _path(verb, model), REQUEST_TIMEOUT_S).get("num_features")
     if not value:
-        raise RuntimeError(
-            f"server at {url} does not advertise num_features; pass the "
-            "feature width explicitly"
-        )
+        raise RuntimeError(f"{url} does not advertise num_features; pass it explicitly")
     return int(value)
 
 
@@ -199,10 +242,7 @@ def synthesize_features(
     so measured latency is the server's, not the client's.
     """
     rng = np.random.default_rng(seed)
-    return [
-        rng.normal(size=(batch_size, num_features)).round(4).tolist()
-        for _ in range(pool)
-    ]
+    return rng.normal(size=(pool, batch_size, num_features)).round(4).tolist()
 
 
 def prediction_digest(
@@ -223,22 +263,10 @@ def prediction_digest(
     digest -- the "bit-exact predictions" check the serving-load sweep
     cell and its differential test share.  Raises on any non-200.
     """
-    endpoint = (
-        f"{url.rstrip('/')}/models/{urllib.parse.quote(model)}/predict"
-        if model is not None
-        else f"{url.rstrip('/')}/predict"
-    )
+    path = _path("predict", model)
     payloads = synthesize_features(num_features, batch_size, pool=count, seed=seed)
-    labels: List[List[int]] = []
-    for features in payloads:
-        request = urllib.request.Request(
-            endpoint,
-            data=json.dumps({"features": features}).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            reply = json.loads(response.read().decode("utf-8"))
-        labels.append([int(label) for label in reply["labels"]])
+    replies = [_call(url, path, timeout, {"features": rows}) for rows in payloads]
+    labels = [[int(label) for label in reply["labels"]] for reply in replies]
     canonical = json.dumps(labels, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(canonical).hexdigest()[:16]
 
@@ -256,15 +284,16 @@ def stream_feedback(
 
     The client half of the continual-learning loop
     (:mod:`repro.runtime.online`): slices ``features`` / ``labels`` into
-    ``batch_size``-row requests and POSTs them in order.  A sample only
-    counts as ``acked`` when its batch got a 200 (the server's
-    durably-buffered acknowledgement); non-200 responses count under
-    their status and transport-level failures (e.g. the connection dying
-    into a SIGKILLed prefork worker) under status ``0``.  ``retries``
-    re-sends a failed batch -- safe against double-counting worries for
-    accuracy (folding a batch twice is idempotent-enough for HDC
-    updates) and exactly what a chaos-tolerant client should do, since a
-    failed batch was never acknowledged.
+    ``batch_size``-row requests and POSTs them in order over one
+    keep-alive connection.  A sample only counts as ``acked`` when its
+    batch got a 200 (the server's durably-buffered acknowledgement);
+    non-200 responses count under their status and transport-level
+    failures (e.g. the connection dying into a SIGKILLed prefork worker)
+    under status ``0``.  ``retries`` re-sends a failed batch -- safe
+    against double-counting worries for accuracy (folding a batch twice
+    is idempotent-enough for HDC updates) and exactly what a
+    chaos-tolerant client should do, since a failed batch was never
+    acknowledged.
 
     Returns
     -------
@@ -273,50 +302,29 @@ def stream_feedback(
         ``acked`` in samples, the rest per request.
     """
     batch = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(labels)
+    targets = np.asarray(labels).astype(int)
     if batch.ndim != 2 or batch.shape[0] != targets.shape[0]:
         raise ValueError("features must be (n, f) with one label per row")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    endpoint = (
-        f"{url.rstrip('/')}/models/{urllib.parse.quote(model)}/feedback"
-        if model is not None
-        else f"{url.rstrip('/')}/feedback"
-    )
-    requests = acked = errors = 0
-    errors_by_status: Dict[int, int] = {}
-    for start in range(0, batch.shape[0], batch_size):
-        body = json.dumps(
-            {
-                "features": batch[start : start + batch_size].tolist(),
-                "labels": [int(label) for label in targets[start : start + batch_size]],
-            }
-        ).encode("utf-8")
-        for attempt in range(retries + 1):
-            request = urllib.request.Request(
-                endpoint, data=body, headers={"Content-Type": "application/json"}
-            )
-            requests += 1
-            try:
-                with urllib.request.urlopen(request, timeout=timeout) as response:
-                    reply = json.loads(response.read().decode("utf-8"))
-                acked += int(reply.get("accepted", 0))
-                break
-            except urllib.error.HTTPError as error:
-                status = int(error.code)
-                error.read()
-            except (urllib.error.URLError, OSError, socket.timeout):
-                status = 0
-            errors += 1
-            errors_by_status[status] = errors_by_status.get(status, 0) + 1
-            if attempt < retries:
-                time.sleep(0.05 * (attempt + 1))
-    return {
-        "requests": requests,
-        "acked": acked,
-        "errors": errors,
-        "errors_by_status": errors_by_status,
-    }
+    requests = acked = 0
+    failed: Dict[int, int] = {}
+    with closing(_Connection(url, timeout)) as connection:
+        for start in range(0, batch.shape[0], batch_size):
+            rows = slice(start, start + batch_size)
+            body = {"features": batch[rows].tolist(), "labels": targets[rows].tolist()}
+            request = connection.request(_path("feedback", model), body)
+            for attempt in range(retries + 1):
+                requests += 1
+                status, reply = connection.send(request)
+                if status == 200:
+                    acked += int(json.loads(reply).get("accepted", 0))
+                    break
+                failed[status] = failed.get(status, 0) + 1
+                if attempt < retries:
+                    time.sleep(0.05 * (attempt + 1))
+    errors = sum(failed.values())
+    return dict(requests=requests, acked=acked, errors=errors, errors_by_status=failed)
 
 
 def run_load(
@@ -347,9 +355,11 @@ def run_load(
         ``"closed"`` (back-to-back per worker) or ``"open"`` (fixed
         arrival schedule of ``rate`` requests/second across workers).
     concurrency:
-        Worker thread count (the closed-loop in-flight bound).
+        Worker thread count: the bound on requests in flight.
     duration_seconds:
-        Wall-clock measurement window.
+        Wall-clock window: arrivals are due (open) or queued (closed)
+        only inside it; closed mode still sends the at most
+        ``concurrency`` arrivals queued when it ends.
     batch_size:
         Rows per request.
     rate:
@@ -359,190 +369,69 @@ def run_load(
     seed:
         Payload-synthesis seed.
     total_requests:
-        When set, fire exactly this many requests (split over the workers
-        by arrival index) instead of running for ``duration_seconds`` --
-        the deterministic mode serving-load sweep cells use, so request
-        and error *counts* are reproducible even though latencies are
-        not.  ``duration_seconds`` is ignored in this mode; each request
-        is still bounded by the per-request socket timeout.
+        When set, fire exactly this many requests (arrival indices
+        ``0 .. total_requests - 1``) instead of running for
+        ``duration_seconds`` -- the deterministic mode serving-load sweep
+        cells use, so request and error *counts* are reproducible even
+        though latencies are not.  ``duration_seconds`` is ignored in
+        this mode; each request is still bounded by the per-request
+        socket timeout.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if concurrency <= 0:
-        raise ValueError(f"concurrency must be positive, got {concurrency}")
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    for name, value in (("concurrency", concurrency), ("batch_size", batch_size)):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if total_requests is not None and total_requests <= 0:
         raise ValueError(f"total_requests must be positive, got {total_requests}")
     if duration_seconds <= 0:
         raise ValueError(f"duration_seconds must be positive, got {duration_seconds}")
-    if mode == "open":
-        if rate is None or rate <= 0:
-            raise ValueError("open-loop mode requires a positive rate")
-    url = url.rstrip("/")
+    if mode == "open" and (rate is None or rate <= 0):
+        raise ValueError("open-loop mode requires a positive rate")
+    # Serializes the requests, and rejects a bad URL before any worker starts.
+    serializer = _Connection(url)
     if num_features is None:
         num_features = server_num_features(url, model=model)
-    payload_pool = synthesize_features(num_features, batch_size, seed=seed)
-    bodies = []
-    for features in payload_pool:
-        body: Dict[str, Any] = {"features": features}
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        bodies.append(json.dumps(body).encode("utf-8"))
-    parsed = urllib.parse.urlsplit(url)
-    if parsed.scheme != "http" or not parsed.hostname:
-        raise ValueError(f"expected an http://host:port URL, got {url!r}")
-    netloc = (parsed.hostname, parsed.port or 80)
-    target = f"/models/{model}/predict" if model is not None else "/predict"
-    # Pre-serialize the *entire* HTTP request (headers + JSON body) per
-    # payload, the way serious load generators do: the timed loop is one
-    # sendall() plus a minimal response read, so the measurement bills
-    # the server, not a client-side HTTP stack.
-    requests_bytes = [
-        (
-            f"POST {target} HTTP/1.1\r\n"
-            f"Host: {parsed.hostname}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode("ascii")
-        + body
-        for body in bodies
+    extra = {} if deadline_ms is None else {"deadline_ms": deadline_ms}
+    requests = [
+        serializer.request(_path("predict", model), {"features": rows, **extra})
+        for rows in synthesize_features(num_features, batch_size, seed=seed)
     ]
 
-    collector = _Collector()
-    start_barrier = threading.Barrier(concurrency + 1)
-    # Open loop: one shared arrival counter; worker i serves arrivals
-    # i, i+concurrency, i+2*concurrency, ... at their scheduled times.
-    interval = (1.0 / rate) if mode == "open" and rate else 0.0
+    # The calling thread is the one arrival source.  Closed mode keeps at
+    # most one arrival per worker queued, so the window's end stops the
+    # sends within one round of requests.
+    arrivals: queue.Queue = queue.Queue(0 if mode == "open" else concurrency)
+    # Arrival index -> (status, latency seconds), one writer per slot.
+    slots: Dict[int, Tuple[int, float]] = {}
 
-    class _Client:
-        """One worker's persistent raw keep-alive connection.
+    def worker() -> None:
+        with closing(_Connection(url)) as connection:
+            for index, due in iter(arrivals.get, None):
+                started = time.perf_counter() if due is None else due
+                status, _ = connection.send(requests[index % len(requests)])
+                slots[index] = (status, time.perf_counter() - started)
+        arrivals.put(None)  # pass the stop marker on to the next worker
 
-        Reconnects transparently when the server closes the socket, so
-        measured latency reflects request service, not per-request TCP
-        handshakes and server thread spawns.
-        """
-
-        def __init__(self) -> None:
-            self.sock: Optional[socket.socket] = None
-            self.buffer = b""
-
-        def _connect(self) -> socket.socket:
-            if self.sock is None:
-                self.sock = socket.create_connection(netloc, timeout=REQUEST_TIMEOUT_S)
-                # Request writes must not queue behind delayed ACKs.
-                self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self.buffer = b""
-            return self.sock
-
-        def drop(self) -> None:
-            if self.sock is not None:
-                self.sock.close()
-                self.sock = None
-            self.buffer = b""
-
-        def _read_response(self, sock: socket.socket) -> int:
-            """Read one response off the wire; returns the status code.
-
-            Minimal HTTP/1.1 parsing: status line + Content-Length, then
-            drain exactly that many body bytes (the server always sends
-            an exact Content-Length; responses are never chunked).
-            """
-            while b"\r\n\r\n" not in self.buffer:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise ConnectionError("server closed mid-response")
-                self.buffer += chunk
-            head, _, rest = self.buffer.partition(b"\r\n\r\n")
-            status = int(head.split(b" ", 2)[1])
-            length = 0
-            for line in head.split(b"\r\n")[1:]:
-                name, _, value = line.partition(b":")
-                if name.strip().lower() == b"content-length":
-                    length = int(value.strip())
-                    break
-            while len(rest) < length:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise ConnectionError("server closed mid-body")
-                rest += chunk
-            self.buffer = rest[length:]
-            return status
-
-        def fire(self, request: bytes) -> None:
-            started = time.perf_counter()
-            try:
-                sock = self._connect()
-                sock.sendall(request)
-                status = self._read_response(sock)
-                if status == 200:
-                    collector.success(batch_size, time.perf_counter() - started)
-                else:
-                    collector.failure(status)
-            except (OSError, TimeoutError, ValueError, IndexError):
-                collector.failure(0)
-                self.drop()
-
-    def closed_worker(index: int) -> None:
-        client = _Client()
-        start_barrier.wait()
-        try:
-            step = index
-            while True:
-                if total_requests is not None:
-                    if step >= total_requests:
-                        return
-                elif time.monotonic() >= stop_monotonic:
-                    return
-                client.fire(requests_bytes[step % len(requests_bytes)])
-                step += concurrency
-        finally:
-            client.drop()
-
-    def open_worker(index: int) -> None:
-        client = _Client()
-        start_barrier.wait()
-        try:
-            arrival = index
-            while True:
-                if total_requests is not None and arrival >= total_requests:
-                    return
-                due = open_start + arrival * interval
-                now = time.monotonic()
-                if total_requests is None and due >= stop_monotonic:
-                    return
-                if due > now:
-                    time.sleep(due - now)
-                client.fire(requests_bytes[arrival % len(requests_bytes)])
-                arrival += concurrency
-        finally:
-            client.drop()
-
-    worker = closed_worker if mode == "closed" else open_worker
-    threads = [
-        threading.Thread(target=worker, args=(index,), daemon=True)
-        for index in range(concurrency)
-    ]
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(concurrency)]
     for thread in threads:
         thread.start()
-    # The clocks are set immediately before the barrier releases the
-    # workers, so slow thread startup never eats into the window.
-    open_start = time.monotonic()
-    stop_monotonic = open_start + duration_seconds
-    measure_start = time.perf_counter()
-    start_barrier.wait()
+    start = time.perf_counter()
+    for index in itertools.count() if total_requests is None else range(total_requests):
+        due = start + index / rate if mode == "open" else time.perf_counter()
+        if total_requests is None and due - start >= duration_seconds:
+            break
+        if due > (now := time.perf_counter()):
+            time.sleep(due - now)
+        arrivals.put((index, due if mode == "open" else None))
+    arrivals.put(None)
     for thread in threads:
         thread.join()
-    elapsed = time.perf_counter() - measure_start
+    elapsed = time.perf_counter() - start
 
-    return LoadReport(
-        mode=mode,
-        concurrency=concurrency,
-        batch_size=batch_size,
-        duration_seconds=elapsed,
-        requests=collector.requests,
-        queries=collector.queries,
-        errors=collector.errors,
-        errors_by_status=dict(collector.errors_by_status),
-        latencies_seconds=collector.latencies,
-    )
+    report = LoadReport(mode, concurrency, batch_size, elapsed, requests=len(slots))
+    report.latencies_seconds = [t for s, t in slots.values() if s == 200]
+    report.errors_by_status = dict(Counter(s for s, _ in slots.values() if s != 200))
+    report.errors = report.requests - len(report.latencies_seconds)
+    report.queries = batch_size * report.successes
+    return report

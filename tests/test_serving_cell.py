@@ -23,10 +23,16 @@ import pytest
 
 from repro.cli import main
 from repro.eval.serving_cell import DIGEST_BATCHES, execute_serving_job
-from repro.eval.sweep import SweepError, SweepSpec, execute_job, model_for_config
+from repro.eval.sweep import (
+    SERVING_MODES,
+    SweepError,
+    SweepSpec,
+    execute_job,
+    model_for_config,
+)
 from repro.eval.store import ResultStore, is_volatile_metric
 from repro.eval.reporting import format_serving_records
-from repro.runtime.loadtest import prediction_digest, run_load
+from repro.runtime.loadtest import MODES, prediction_digest, run_load
 from repro.runtime.server import ModelServer
 
 GOLDEN_SCHEMA = Path(__file__).parent / "golden" / "serving_cell_schema.json"
@@ -198,6 +204,8 @@ class TestSpecValidation:
             SweepSpec(kind="latency")
         with pytest.raises(SweepError):
             SweepSpec(kind="serving-load", serving_modes=("bursty",))
+        # The sweep copies the modes to stay import-light; keep them equal.
+        assert SERVING_MODES == MODES
 
     def test_accuracy_cells_carry_no_serving_keys(self):
         """Pinned: accuracy configs are byte-identical to pre-serving repros."""

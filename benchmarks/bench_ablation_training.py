@@ -12,7 +12,6 @@ both at benchmark scale:
 
 from __future__ import annotations
 
-import numpy as np
 from conftest import BENCH_EPOCHS, print_section
 
 from repro.core.config import MEMHDConfig

@@ -10,7 +10,6 @@ MEMHD reaches baseline-level accuracy at a fraction of the memory).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from conftest import BENCH_EPOCHS, BENCH_TRIALS, print_section
 

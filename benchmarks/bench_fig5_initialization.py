@@ -10,7 +10,6 @@ initial-accuracy gap.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from conftest import BENCH_EPOCHS, print_section
 

@@ -1,8 +1,8 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark module regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md's per-experiment index) and prints the
-corresponding rows/series, so the captured output of
+evaluation section and prints the corresponding rows/series, so the
+captured output of
 
     pytest benchmarks/ --benchmark-only
 

@@ -4,9 +4,8 @@
 Maps a trained MEMHD model onto IMC arrays with the functional simulator and
 sweeps three non-ideality mechanisms -- retention/write bit flips, stuck-at
 cells and analog read noise -- reporting the accuracy of the mapped model at
-each fault level.  This is the repository's extension experiment (E9 in
-DESIGN.md): it quantifies the robustness the paper's IMC deployment relies
-on implicitly.
+each fault level.  This is the repository's extension experiment: it
+quantifies the robustness the paper's IMC deployment relies on implicitly.
 
 Run:  python examples/noise_robustness.py --dataset mnist --dimension 256
 """

@@ -2,7 +2,8 @@
 """Quickstart: train MEMHD on an MNIST-profile workload and map it to IMC arrays.
 
 This script walks through the full MEMHD pipeline on a laptop-scale
-synthetic surrogate of MNIST (see DESIGN.md for the substitution rationale):
+synthetic surrogate of MNIST (see the README's "Datasets: synthetic
+surrogates" section for the substitution rationale):
 
 1. load a dataset,
 2. configure and train a MEMHD model (clustering-based initialization +

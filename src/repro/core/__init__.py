@@ -31,7 +31,6 @@ from repro.core.initialization import (
 from repro.core.quantization import (
     mean_threshold_binarize,
     normalize_rows,
-    quantization_error,
 )
 from repro.core.training import QuantizationAwareTrainer
 from repro.core.model import MEMHDModel
@@ -52,7 +51,6 @@ __all__ = [
     "initial_clusters_per_class",
     "mean_threshold_binarize",
     "normalize_rows",
-    "quantization_error",
     "QuantizationAwareTrainer",
     "MEMHDModel",
     "OnlineMEMHD",

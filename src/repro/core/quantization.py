@@ -11,8 +11,6 @@ vectors of one class so that no single centroid dominates (Sec. III-C-4).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 
@@ -73,28 +71,3 @@ def normalize_rows(fp_memory: np.ndarray, mode: str = "zscore") -> np.ndarray:
         safe_norms = np.where(norms > 0.0, norms, 1.0)
         return arr / safe_norms
     raise ValueError(f"unknown normalization mode {mode!r}")
-
-
-def quantization_error(
-    fp_memory: np.ndarray, binary_memory: np.ndarray
-) -> Tuple[float, float]:
-    """Diagnostics of the 1-bit quantization.
-
-    Returns
-    -------
-    tuple
-        ``(mse, ones_fraction)`` where ``mse`` is the mean squared error
-        between the (z-scored) FP memory and the ``{-1, +1}``-scaled binary
-        memory, and ``ones_fraction`` is the fraction of 1s in the binary
-        memory.  Both are useful for monitoring whether quantization-aware
-        learning is keeping the binary memory balanced.
-    """
-    fp = np.asarray(fp_memory, dtype=np.float64)
-    binary = np.asarray(binary_memory)
-    if fp.shape != binary.shape:
-        raise ValueError("fp_memory and binary_memory must share a shape")
-    zscored = normalize_rows(fp, "zscore")
-    bipolar = 2.0 * binary.astype(np.float64) - 1.0
-    mse = float(np.mean((zscored - bipolar) ** 2))
-    ones_fraction = float(binary.astype(np.float64).mean())
-    return mse, ones_fraction

@@ -4,15 +4,15 @@ The paper evaluates on MNIST, Fashion-MNIST and ISOLET.  This reproduction
 runs entirely offline, so :func:`repro.data.load_dataset` serves
 deterministic synthetic datasets that mirror the shape and the *structure*
 of those workloads (feature count, class count, per-class sample budget and
-intra-class multi-modality); see ``DESIGN.md`` for the substitution
-rationale.  If the real datasets are placed under a data directory in the
-simple ``.npz`` format documented in :mod:`repro.data.datasets`, they are
-picked up automatically.
+intra-class multi-modality); the README's "Datasets: synthetic
+surrogates" section gives the substitution rationale.  If the real
+datasets are placed under a data directory in the simple ``.npz`` format
+documented in :mod:`repro.data.datasets`, they are picked up
+automatically.
 """
 
 from repro.data.datasets import (
     Dataset,
-    DatasetSplits,
     DATASET_PROFILES,
     DatasetProfile,
     load_dataset,
@@ -23,16 +23,9 @@ from repro.data.synthetic import (
     make_multimodal_classification,
     make_synthetic_dataset,
 )
-from repro.data.preprocessing import (
-    minmax_normalize,
-    standardize,
-    train_test_split,
-    stratified_subsample,
-)
 
 __all__ = [
     "Dataset",
-    "DatasetSplits",
     "DATASET_PROFILES",
     "DatasetProfile",
     "load_dataset",
@@ -40,8 +33,4 @@ __all__ = [
     "SyntheticSpec",
     "make_multimodal_classification",
     "make_synthetic_dataset",
-    "minmax_normalize",
-    "standardize",
-    "train_test_split",
-    "stratified_subsample",
 ]

@@ -12,10 +12,11 @@ The paper's three evaluation workloads are exposed here by name:
     paper reports in Fig. 4).
 
 Because the repository must run offline, :func:`load_dataset` generates a
-synthetic surrogate with the same structural profile by default (see
-``DESIGN.md``).  If a file ``<data_dir>/<name>.npz`` exists with arrays
-``train_x, train_y, test_x, test_y`` it is loaded instead, so dropping in
-the real datasets transparently upgrades every benchmark.
+synthetic surrogate with the same structural profile by default (see the
+README's "Datasets: synthetic surrogates" section).  If a file
+``<data_dir>/<name>.npz`` exists with arrays ``train_x, train_y, test_x,
+test_y`` it is loaded instead, so dropping in the real datasets
+transparently upgrades every benchmark.
 
 A ``scale`` parameter shrinks the per-class sample budget proportionally so
 that the full benchmark suite completes in minutes on a laptop; the feature
@@ -106,25 +107,6 @@ class Dataset:
             "num_test": self.num_test,
             "synthetic": self.synthetic,
         }
-
-
-@dataclass
-class DatasetSplits:
-    """Convenience bundle of the arrays of a :class:`Dataset`."""
-
-    train_x: np.ndarray
-    train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-
-    @classmethod
-    def from_dataset(cls, dataset: Dataset) -> "DatasetSplits":
-        return cls(
-            dataset.train_features,
-            dataset.train_labels,
-            dataset.test_features,
-            dataset.test_labels,
-        )
 
 
 @dataclass(frozen=True)

@@ -3,21 +3,17 @@
 from repro.eval.metrics import (
     accuracy,
     confusion_matrix,
-    per_class_accuracy,
     misclassification_counts,
-    misclassification_rates,
 )
 from repro.eval.experiments import (
     ExperimentRecord,
     evaluate_classifier,
     accuracy_memory_curve,
-    grid_sweep,
     initialization_comparison,
     cluster_ratio_sweep,
 )
 from repro.eval.reporting import (
     format_table,
-    normalize_series,
     format_accuracy_memory,
     format_heatmap,
     format_sweep_records,
@@ -43,27 +39,17 @@ from repro.eval.sweep import (
     spec_records,
     train_record_model,
 )
-from repro.eval.statistics import (
-    TrialSummary,
-    summarize_trials,
-    paired_bootstrap,
-    run_trials,
-)
 
 __all__ = [
     "accuracy",
     "confusion_matrix",
-    "per_class_accuracy",
     "misclassification_counts",
-    "misclassification_rates",
     "ExperimentRecord",
     "evaluate_classifier",
     "accuracy_memory_curve",
-    "grid_sweep",
     "initialization_comparison",
     "cluster_ratio_sweep",
     "format_table",
-    "normalize_series",
     "format_accuracy_memory",
     "format_heatmap",
     "format_sweep_records",
@@ -84,8 +70,4 @@ __all__ = [
     "run_sweep",
     "spec_records",
     "train_record_model",
-    "TrialSummary",
-    "summarize_trials",
-    "paired_bootstrap",
-    "run_trials",
 ]

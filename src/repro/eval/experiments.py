@@ -7,8 +7,6 @@ parameter points and print the resulting rows/series.
 * :func:`evaluate_classifier` -- train/evaluate one model, one record.
 * :func:`accuracy_memory_curve` -- Fig. 3: accuracy vs. memory footprint
   across model families and sizes.
-* :func:`grid_sweep` -- Fig. 4: MEMHD accuracy heatmap over dimensions and
-  columns.
 * :func:`initialization_comparison` -- Fig. 5: clustering vs. random
   initialization accuracy-per-epoch curves.
 * :func:`cluster_ratio_sweep` -- Fig. 6: accuracy vs. the initial cluster
@@ -128,41 +126,6 @@ def accuracy_memory_curve(
         )
         records.append(base)
     return records
-
-
-def grid_sweep(
-    dataset: Dataset,
-    dimensions: Sequence[int],
-    columns: Sequence[int],
-    base_config: Optional[MEMHDConfig] = None,
-    rng: Optional[Union[int, np.random.Generator]] = None,
-) -> Dict[Tuple[int, int], float]:
-    """Fig. 4 runner: MEMHD test accuracy for every (D, C) grid point.
-
-    Grid points whose column count is smaller than the dataset's class
-    count are skipped (they cannot give every class a centroid), matching
-    the paper's heatmap which starts at C >= k.
-    """
-    from repro.core.config import MEMHDConfig
-    from repro.core.model import MEMHDModel
-
-    base = base_config or MEMHDConfig()
-    gen = _as_generator(rng)
-    results: Dict[Tuple[int, int], float] = {}
-    for dimension in dimensions:
-        for column_count in columns:
-            if column_count < dataset.num_classes:
-                continue
-            config = base.with_updates(dimension=dimension, columns=column_count)
-            seed = int(gen.integers(0, 2**31 - 1))
-            model = MEMHDModel(
-                dataset.num_features, dataset.num_classes, config, rng=seed
-            )
-            model.fit(dataset.train_features, dataset.train_labels)
-            results[(dimension, column_count)] = model.score(
-                dataset.test_features, dataset.test_labels
-            )
-    return results
 
 
 def initialization_comparison(

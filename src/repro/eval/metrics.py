@@ -50,20 +50,6 @@ def confusion_matrix(
     return matrix
 
 
-def per_class_accuracy(
-    predicted: np.ndarray,
-    actual: np.ndarray,
-    num_classes: Optional[int] = None,
-) -> np.ndarray:
-    """Recall of each class; classes absent from ``actual`` report NaN."""
-    matrix = confusion_matrix(predicted, actual, num_classes)
-    totals = matrix.sum(axis=1).astype(np.float64)
-    correct = np.diag(matrix).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        result = np.where(totals > 0, correct / totals, np.nan)
-    return result
-
-
 def misclassification_counts(
     predicted: np.ndarray,
     actual: np.ndarray,
@@ -76,16 +62,3 @@ def misclassification_counts(
     """
     matrix = confusion_matrix(predicted, actual, num_classes)
     return matrix.sum(axis=1) - np.diag(matrix)
-
-
-def misclassification_rates(
-    predicted: np.ndarray,
-    actual: np.ndarray,
-    num_classes: Optional[int] = None,
-) -> np.ndarray:
-    """Fraction of each class's samples that were misclassified (NaN if absent)."""
-    matrix = confusion_matrix(predicted, actual, num_classes)
-    totals = matrix.sum(axis=1).astype(np.float64)
-    wrong = (matrix.sum(axis=1) - np.diag(matrix)).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(totals > 0, wrong / totals, np.nan)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 
 def format_table(
     rows: Sequence[Mapping[str, object]],
@@ -81,17 +79,6 @@ def format_markdown_table(
             "| " + " | ".join(render(row.get(column, "")) for column in columns) + " |"
         )
     return "\n".join(lines)
-
-
-def normalize_series(values: Sequence[float], peak: float = 100.0) -> List[float]:
-    """Scale a series so its maximum equals ``peak`` (Fig. 7 convention)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return []
-    maximum = float(arr.max())
-    if maximum <= 0:
-        raise ValueError("cannot normalize a series whose maximum is not positive")
-    return list(arr / maximum * peak)
 
 
 def format_accuracy_memory(

@@ -4,9 +4,9 @@ This package provides the building blocks every classifier in the
 reproduction rests on:
 
 * :mod:`repro.hdc.hypervector` -- creation of random hypervectors and the
-  elementary HDC algebra (bundling, binding, permutation, sign/binarize).
-* :mod:`repro.hdc.similarity` -- dot, cosine, Hamming and normalized-Hamming
-  similarity between hypervectors or batches of hypervectors.
+  conversions between the binary and bipolar alphabets (sign/binarize).
+* :mod:`repro.hdc.similarity` -- dot, cosine and Hamming similarity between
+  hypervectors or batches of hypervectors.
 * :mod:`repro.hdc.encoders` -- the two encoders the paper uses:
   random-projection encoding (MVM-compatible, used by BasicHDC and MEMHD) and
   ID-Level encoding (used by SearcHD / QuantHD / LeHDC).
@@ -29,9 +29,6 @@ from repro.hdc.hypervector import (
     random_bipolar_hypervectors,
     random_gaussian_hypervectors,
     level_hypervectors,
-    bundle,
-    bind,
-    permute,
     binarize,
     bipolarize,
     to_bipolar,
@@ -41,10 +38,6 @@ from repro.hdc.similarity import (
     dot_similarity,
     cosine_similarity,
     hamming_distance,
-    hamming_similarity,
-    pairwise_dot,
-    pruned_top1,
-    top1,
 )
 from repro.hdc.encoders import (
     Encoder,
@@ -54,9 +47,7 @@ from repro.hdc.encoders import (
 from repro.hdc.clustering import (
     KMeansResult,
     dot_kmeans,
-    classwise_clustering,
 )
-from repro.hdc.item_memory import ItemMemory
 from repro.hdc.packed import (
     PackedAM,
     PackedVectors,
@@ -88,9 +79,6 @@ __all__ = [
     "random_bipolar_hypervectors",
     "random_gaussian_hypervectors",
     "level_hypervectors",
-    "bundle",
-    "bind",
-    "permute",
     "binarize",
     "bipolarize",
     "to_bipolar",
@@ -98,17 +86,11 @@ __all__ = [
     "dot_similarity",
     "cosine_similarity",
     "hamming_distance",
-    "hamming_similarity",
-    "pairwise_dot",
-    "pruned_top1",
-    "top1",
     "Encoder",
     "RandomProjectionEncoder",
     "IDLevelEncoder",
     "KMeansResult",
     "dot_kmeans",
-    "classwise_clustering",
-    "ItemMemory",
     "PackedAM",
     "PackedVectors",
     "kernel_backend",

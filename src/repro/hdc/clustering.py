@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -413,59 +413,3 @@ def dot_kmeans(
         raise ValueError(f"unknown init method: {init!r}")
 
     return _lloyd(arr, words if binary else None, chosen, max_iterations)
-
-
-def classwise_clustering(
-    samples: np.ndarray,
-    labels: np.ndarray,
-    clusters_per_class: Union[int, Sequence[int], Dict[int, int]],
-    max_iterations: int = 50,
-    rng: Optional[Union[int, np.random.Generator]] = None,
-    init: str = "kmeans++",
-) -> Dict[int, KMeansResult]:
-    """Run :func:`dot_kmeans` independently on each class.
-
-    Parameters
-    ----------
-    samples:
-        ``(n, D)`` encoded sample hypervectors.
-    labels:
-        ``(n,)`` integer class labels.
-    clusters_per_class:
-        Either a single integer applied to every class, a sequence indexed
-        by class id, or an explicit ``{class: k}`` mapping.  A requested
-        cluster count larger than the number of class samples is clipped.
-    rng:
-        Seed or generator; each class gets an independent child stream.
-
-    Returns
-    -------
-    dict
-        ``{class_label: KMeansResult}`` for every class present in
-        ``labels``.
-    """
-    arr = np.asarray(samples)
-    lab = np.asarray(labels)
-    if arr.shape[0] != lab.shape[0]:
-        raise ValueError("samples and labels must have the same length")
-    gen = _as_generator(rng)
-    classes = np.unique(lab)
-
-    def clusters_for(class_label: int) -> int:
-        if isinstance(clusters_per_class, dict):
-            return int(clusters_per_class[class_label])
-        if isinstance(clusters_per_class, (list, tuple, np.ndarray)):
-            return int(clusters_per_class[int(class_label)])
-        return int(clusters_per_class)
-
-    results: Dict[int, KMeansResult] = {}
-    for class_label in classes:
-        # Each class keeps the samples' dtype: {0, 1} integers stay exact.
-        class_samples = arr[lab == class_label]
-        requested = clusters_for(int(class_label))
-        k = max(1, min(requested, class_samples.shape[0]))
-        child = np.random.default_rng(gen.integers(0, 2**63 - 1))
-        results[int(class_label)] = dot_kmeans(
-            class_samples, k, max_iterations=max_iterations, rng=child, init=init
-        )
-    return results

@@ -21,7 +21,7 @@ seed.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -161,48 +161,6 @@ def level_hypervectors(
     return out
 
 
-def bundle(hypervectors: ArrayLike, axis: int = 0) -> np.ndarray:
-    """Bundle (superpose) hypervectors by element-wise summation.
-
-    Bundling is the HDC analogue of set union: the sum of bipolar vectors is
-    most similar (under dot similarity) to each of its constituents.  The
-    result is an integer-valued vector; callers typically re-binarize it with
-    :func:`binarize` or :func:`bipolarize`.
-    """
-    arr = np.asarray(hypervectors)
-    if arr.ndim == 0:
-        raise ValueError("cannot bundle a scalar")
-    return arr.sum(axis=axis)
-
-
-def bind(a: ArrayLike, b: ArrayLike) -> np.ndarray:
-    """Bind two hypervectors.
-
-    For bipolar vectors binding is element-wise multiplication (XOR in the
-    binary domain); it produces a vector dissimilar to both operands while
-    preserving distances, which is how ID-Level encoding attaches a value to
-    a position.
-    """
-    a_arr = np.asarray(a)
-    b_arr = np.asarray(b)
-    if a_arr.shape[-1] != b_arr.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {a_arr.shape[-1]} vs {b_arr.shape[-1]}"
-        )
-    return a_arr * b_arr
-
-
-def permute(hypervector: ArrayLike, shifts: int = 1) -> np.ndarray:
-    """Cyclically permute a hypervector (or batch) by ``shifts`` positions.
-
-    Permutation encodes sequence/order information; it is included for
-    completeness of the HDC substrate even though MEMHD itself only needs
-    projection encoding.
-    """
-    arr = np.asarray(hypervector)
-    return np.roll(arr, shifts, axis=-1)
-
-
 def binarize(values: ArrayLike, threshold: Optional[float] = None) -> np.ndarray:
     """Quantize real values to the ``{0, 1}`` alphabet.
 
@@ -241,45 +199,3 @@ def to_binary(bipolar: ArrayLike) -> np.ndarray:
     if not ((arr == -1) | (arr == 1)).all():
         raise ValueError("to_binary expects values in {-1, +1}")
     return ((arr.astype(np.int8) + 1) // 2).astype(np.int8)
-
-
-def majority_bundle(
-    hypervectors: ArrayLike,
-    rng: Optional[Union[int, np.random.Generator]] = None,
-) -> np.ndarray:
-    """Bundle bipolar hypervectors and re-binarize with random tie breaking.
-
-    This is the classical "majority rule" used when a single-pass binary
-    class vector is wanted directly.  Ties (possible when the number of
-    bundled vectors is even) are broken by independent fair coin flips drawn
-    from ``rng``.
-    """
-    arr = np.asarray(hypervectors)
-    summed = bundle(arr, axis=0)
-    gen = _as_generator(rng)
-    ties = summed == 0
-    result = np.where(summed > 0, 1, -1).astype(np.int8)
-    if np.any(ties):
-        coin = gen.integers(0, 2, size=int(ties.sum())) * 2 - 1
-        result[ties] = coin.astype(np.int8)
-    return result
-
-
-def hypervector_counts(hypervectors: Iterable[np.ndarray]) -> np.ndarray:
-    """Accumulate an integer count vector from an iterable of hypervectors.
-
-    Useful for streaming single-pass training where keeping the whole
-    training set in memory is undesirable.
-    """
-    total: Optional[np.ndarray] = None
-    for hv in hypervectors:
-        arr = np.asarray(hv, dtype=np.int64)
-        if total is None:
-            total = arr.copy()
-        else:
-            if arr.shape != total.shape:
-                raise ValueError("all hypervectors must share the same shape")
-            total += arr
-    if total is None:
-        raise ValueError("hypervector_counts received an empty iterable")
-    return total

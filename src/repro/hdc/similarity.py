@@ -16,7 +16,7 @@ silent ``float64`` round-trips).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -187,94 +187,3 @@ def hamming_distance(
     if r_squeeze:
         return dist[:, 0]
     return dist
-
-
-def hamming_similarity(
-    queries: np.ndarray, references: np.ndarray, packed: bool = False
-) -> np.ndarray:
-    """Normalized Hamming *similarity*: fraction of matching positions."""
-    q, _ = _atleast_2d(queries)
-    dimension = q.shape[1]
-    dist = hamming_distance(queries, references, packed=packed)
-    return 1.0 - np.asarray(dist, dtype=np.float64) / dimension
-
-
-def pairwise_dot(vectors: np.ndarray) -> np.ndarray:
-    """Symmetric pairwise dot-similarity matrix of a set of vectors."""
-    arr = np.asarray(vectors)
-    if arr.ndim != 2:
-        raise ValueError("pairwise_dot expects a 2-D array")
-    return _matmul_sims(arr, arr)
-
-
-def top1(similarities: np.ndarray) -> np.ndarray:
-    """Index of the most similar reference for each query row.
-
-    Ties are resolved in favour of the lowest index (numpy argmax semantics),
-    which matches deterministic hardware comparator behaviour.
-    """
-    sims = np.asarray(similarities)
-    if sims.ndim == 1:
-        return int(np.argmax(sims))
-    if sims.ndim == 2:
-        return np.argmax(sims, axis=1)
-    raise ValueError("top1 expects a 1-D or 2-D similarity array")
-
-
-def pruned_top1(
-    queries: np.ndarray,
-    references: np.ndarray,
-    groups: Optional[np.ndarray] = None,
-    prune_topk: Optional[int] = None,
-) -> np.ndarray:
-    """Index of the most similar reference via centroid-pruned search.
-
-    Bit-identical to ``top1(dot_similarity(queries, references))`` for
-    binary/bipolar inputs, but screens each query against per-group
-    centroid sketches and exactly re-ranks only a shortlist of groups
-    (:class:`repro.hdc.pruned.PrunedAM`), which is sublinear in the number
-    of reference rows when ``groups`` carves them into many clusters.
-
-    Parameters
-    ----------
-    queries / references:
-        ``(n, D)`` / ``(m, D)`` binary ``{0, 1}`` or bipolar ``{-1, +1}``
-        hypervectors (both drawn from the same alphabet).
-    groups:
-        Optional ``(m,)`` row-to-group map; rows sharing a group share a
-        screening sketch.  Defaults to singleton groups, which keeps the
-        result exact but yields no pruning benefit -- pass the natural
-        clustering (e.g. class labels) to actually prune.
-    prune_topk:
-        Shortlist width (groups exactly re-ranked per query); ``None``
-        uses the ``ceil(sqrt(num_groups))`` heuristic.
-    """
-    from repro.hdc.engine import BinaryAMEngine
-    from repro.hdc.packed import PackedAM
-
-    q, q_squeeze = _atleast_2d(np.asarray(queries))
-    r, _ = _atleast_2d(np.asarray(references))
-    if q.shape[1] != r.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: queries have D={q.shape[1]}, "
-            f"references have D={r.shape[1]}"
-        )
-    if groups is None:
-        group_map = np.arange(r.shape[0], dtype=np.int64)
-    else:
-        raw = np.asarray(groups)
-        if raw.shape != (r.shape[0],):
-            raise ValueError(
-                f"groups must be a ({r.shape[0]},) row-to-group map, "
-                f"got shape {raw.shape}"
-            )
-        # Compact arbitrary group ids to 0..G-1 (group identity only
-        # controls pruning granularity, never the returned row).
-        _, group_map = np.unique(raw, return_inverse=True)
-    q_packed, r_packed = _pack_pair(q, r)
-    engine = BinaryAMEngine(lambda: PackedAM(r_packed, group_map))
-    engine.configure_pruning(prune_topk)
-    rows = engine.pruned().predict_columns(q_packed)
-    if q_squeeze:
-        return int(rows[0])
-    return rows

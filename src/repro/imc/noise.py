@@ -2,7 +2,7 @@
 
 HDC's selling point on emerging-memory IMC substrates is robustness to bit
 errors and analog noise; this module provides the fault models used by the
-extension benchmark (E9 in DESIGN.md):
+noise-robustness extension benchmark (``bench_noise_robustness.py``):
 
 * random bit flips in the programmed cells (retention / write errors),
 * stuck-at-0 / stuck-at-1 cells (fabrication defects),

@@ -38,7 +38,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, BinaryIO, Callable, Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -418,22 +418,8 @@ def save_checkpoint(
     parent = os.path.dirname(destination)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    # Write-then-rename so a crash mid-save can never leave a truncated
-    # file at the final path (the registry's unit of atomicity).
-    fd, scratch = tempfile.mkstemp(
-        prefix=os.path.basename(destination) + ".", dir=parent or "."
-    )
-    try:
-        with os.fdopen(fd, "wb") as stream:
-            np.savez_compressed(stream, **payload)
-        # mkstemp creates 0600 files; give the checkpoint the ordinary
-        # umask-derived permissions so shared/rsync-ed stores stay readable.
-        os.chmod(scratch, 0o666 & ~_UMASK)
-        os.replace(scratch, destination)
-    except BaseException:
-        if os.path.exists(scratch):
-            os.unlink(scratch)
-        raise
+    # The registry's unit of atomicity: never a truncated file at the path.
+    _atomic_write(destination, lambda stream: np.savez_compressed(stream, **payload))
     return manifest
 
 
@@ -667,32 +653,34 @@ def _ensure_extracted(path: str, cache_dir):
             if not key.startswith(ARRAY_PREFIX):
                 continue
             name = key[len(ARRAY_PREFIX) :]
-            _atomic_write_npy(target, name + ".npy", np.asarray(archive[key]))
-    _atomic_write_bytes(target, "manifest.json", manifest.to_json().encode("utf-8"))
+            array = np.asarray(archive[key])
+            _atomic_write(
+                os.fspath(target / (name + ".npy")),
+                lambda stream: np.save(stream, array, allow_pickle=False),
+            )
+    payload = manifest.to_json().encode("utf-8")
+    _atomic_write(os.fspath(marker), lambda stream: stream.write(payload))
     _prune_stale_extractions(root, keep=fingerprint)
     return target
 
 
-def _atomic_write_npy(directory, filename, array: np.ndarray) -> None:
-    fd, scratch = tempfile.mkstemp(prefix=filename + ".", dir=os.fspath(directory))
+def _atomic_write(destination: str, write: Callable[[BinaryIO], Any]) -> None:
+    """Place a file at ``destination`` by write-to-temp + ``os.replace``.
+
+    ``write`` fills the open temp file.  A crash mid-write never leaves a
+    truncated file at ``destination``.  mkstemp creates 0600 files; the
+    result gets the ordinary umask-derived mode, so shared or rsync-ed
+    stores stay readable.
+    """
+    fd, scratch = tempfile.mkstemp(
+        prefix=os.path.basename(destination) + ".",
+        dir=os.path.dirname(destination) or ".",
+    )
     try:
         with os.fdopen(fd, "wb") as stream:
-            np.save(stream, array, allow_pickle=False)
+            write(stream)
         os.chmod(scratch, 0o666 & ~_UMASK)
-        os.replace(scratch, os.path.join(os.fspath(directory), filename))
-    except BaseException:
-        if os.path.exists(scratch):
-            os.unlink(scratch)
-        raise
-
-
-def _atomic_write_bytes(directory, filename, payload: bytes) -> None:
-    fd, scratch = tempfile.mkstemp(prefix=filename + ".", dir=os.fspath(directory))
-    try:
-        with os.fdopen(fd, "wb") as stream:
-            stream.write(payload)
-        os.chmod(scratch, 0o666 & ~_UMASK)
-        os.replace(scratch, os.path.join(os.fspath(directory), filename))
+        os.replace(scratch, destination)
     except BaseException:
         if os.path.exists(scratch):
             os.unlink(scratch)

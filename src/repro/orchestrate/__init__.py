@@ -14,12 +14,12 @@ subsystems:
   markdown/HTML QA report built from the RunDB and ResultStores.
 """
 
+from repro.eval.store import is_volatile_metric
 from repro.orchestrate.rundb import (
     ArtifactRecord,
     RunDB,
     RunRecord,
     StepRecord,
-    is_volatile_metric,
 )
 from repro.orchestrate.report import build_report, markdown_to_html, workflow_status
 from repro.orchestrate.runner import (

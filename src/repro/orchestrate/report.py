@@ -29,7 +29,8 @@ from repro.eval.reporting import (
     format_table,
     sweep_grid,
 )
-from repro.orchestrate.rundb import RunDB, StepRecord, is_volatile_metric
+from repro.eval.store import is_volatile_metric
+from repro.orchestrate.rundb import RunDB, StepRecord
 from repro.orchestrate.runner import reason_to_run, workdir_paths
 from repro.orchestrate.spec import WorkflowSpec
 

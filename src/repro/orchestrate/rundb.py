@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.eval.store import is_volatile_metric as _is_volatile_metric
+from repro.eval.store import is_volatile_metric
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -74,18 +74,6 @@ CREATE TABLE IF NOT EXISTS artifacts (
 CREATE INDEX IF NOT EXISTS idx_steps_step ON steps(step, id);
 CREATE INDEX IF NOT EXISTS idx_artifacts_step ON artifacts(step_id);
 """
-
-
-def is_volatile_metric(name: str) -> bool:
-    """True for wall-clock/latency metrics excluded from state comparisons.
-
-    Delegates to the explicit ``repro.eval.store.VOLATILE_METRICS`` set
-    (plus per-engine suffixed variants).  The old implementation matched
-    timing-ish *substrings* anywhere in the name, which wrongly skipped
-    deterministic metrics like ``firewall_rules`` ("wall") and would have
-    drift-gated serving-load latency metrics like ``p99_ms``.
-    """
-    return _is_volatile_metric(name)
 
 
 @dataclasses.dataclass(frozen=True)

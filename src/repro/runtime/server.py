@@ -291,9 +291,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
         keep-alive connection (``close_connection``): otherwise the next
         ``handle_one_request`` would parse the leftover body as a request
         line and poison every subsequent request on the connection.
+        A body framed by ``Transfer-Encoding`` (chunked) or not framed at
+        all gets 411: the handler reads exactly ``Content-Length`` bytes.
         """
+        raw_length = self.headers.get("Content-Length")
+        if raw_length is None or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            self._fail(411, "POST needs a Content-Length and no Transfer-Encoding")
+            return None
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(raw_length)
         except ValueError:
             self.close_connection = True
             self._fail(400, "invalid Content-Length")
@@ -553,12 +560,6 @@ class ModelServer:
             self._active_requests -= 1
             if self._active_requests == 0:
                 self._active_cond.notify_all()
-
-    @property
-    def active_requests(self) -> int:
-        """Requests currently inside a handler (admitted, unanswered)."""
-        with self._active_cond:
-            return self._active_requests
 
     def wait_idle(self, timeout: float = 30.0) -> bool:
         """Block until no request is in flight; ``False`` on timeout."""

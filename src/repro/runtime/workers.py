@@ -24,8 +24,8 @@ against the *same* ``host:port``:
   accepting -> finish in-flight requests -> drain schedulers -> exit),
   and reaps everything on shutdown;
 * **control plane** -- two :func:`multiprocessing.Pipe` pairs per worker.
-  On the *control* channel the parent issues requests (``stats``,
-  ``reload``, ``drain``) answered by a dedicated worker thread; on the
+  On the *control* channel the parent issues requests (``ping``,
+  ``stats``, ``reload``) answered by a dedicated worker thread; on the
   *escalation* channel a worker's HTTP handler asks the parent to run a
   cluster-wide operation.  ``GET /stats`` on any worker therefore returns
   the **merged** view of every worker (nested per-worker under a
@@ -231,8 +231,6 @@ def _serve_control(conn, server: ModelServer, stop, drain_requested) -> None:
                     }
                 except ServerError as error:
                     reply = {"ok": False, "status": error.status, "error": str(error)}
-            elif op == "drain":
-                reply = {"ok": True}
             else:
                 reply = {
                     "ok": False,
@@ -248,10 +246,6 @@ def _serve_control(conn, server: ModelServer, stop, drain_requested) -> None:
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
-            drain_requested.set()
-            stop.set()
-            return
-        if op == "drain":
             drain_requested.set()
             stop.set()
             return
@@ -940,20 +934,6 @@ class WorkerSupervisor:
                 for worker_id, failure in sorted(failures.items())
             }
         return response
-
-    def drain_worker(self, worker_id: int) -> bool:
-        """Ask one worker to drain and exit (tests, rolling restarts)."""
-        with self._slots_lock:
-            slot = self._slots.get(worker_id)
-        if slot is None or not slot.alive():
-            return False
-        try:
-            reply = self._control_request(
-                slot, {"op": "drain"}, timeout=CONTROL_TIMEOUT_S
-            )
-        except (OSError, EOFError, TimeoutError, BrokenPipeError):
-            return False
-        return bool(reply.get("ok"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

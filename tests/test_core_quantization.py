@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.quantization import (
-    mean_threshold_binarize,
-    normalize_rows,
-    quantization_error,
-)
+from repro.core.quantization import mean_threshold_binarize, normalize_rows
 
 
 class TestMeanThresholdBinarize:
@@ -91,23 +87,3 @@ class TestNormalizeRows:
         normalized = normalize_rows(memory, "zscore")
         for row, normalized_row in zip(memory, normalized):
             assert np.array_equal(np.argsort(row), np.argsort(normalized_row))
-
-
-class TestQuantizationError:
-    def test_zero_error_for_matching_sign_pattern(self):
-        fp = np.array([[1.0, -1.0, 1.0, -1.0]] * 3)
-        binary = (fp > 0).astype(np.int8)
-        mse, ones_fraction = quantization_error(fp, binary)
-        assert mse == pytest.approx(0.0)
-        assert ones_fraction == pytest.approx(0.5)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            quantization_error(np.zeros((2, 3)), np.zeros((3, 2)))
-
-    def test_error_increases_when_binary_is_inverted(self):
-        fp = np.random.default_rng(7).normal(size=(5, 50))
-        binary = mean_threshold_binarize(fp)
-        good_mse, _ = quantization_error(fp, binary)
-        bad_mse, _ = quantization_error(fp, 1 - binary)
-        assert bad_mse > good_mse

@@ -1,14 +1,11 @@
 """Unit tests for repro.data.datasets."""
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.data.datasets import (
     DATASET_PROFILES,
     Dataset,
-    DatasetSplits,
     available_datasets,
     load_dataset,
 )
@@ -54,12 +51,6 @@ class TestDatasetContainer:
     def test_1d_features_raise(self):
         with pytest.raises(ValueError):
             self._make(train_features=np.zeros(20))
-
-    def test_splits_helper(self):
-        dataset = self._make()
-        splits = DatasetSplits.from_dataset(dataset)
-        assert np.array_equal(splits.train_x, dataset.train_features)
-        assert np.array_equal(splits.test_y, dataset.test_labels)
 
 
 class TestProfilesAndLoader:

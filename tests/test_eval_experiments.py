@@ -1,6 +1,5 @@
 """Unit tests for repro.eval.experiments."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import BasicHDC, BasicHDCConfig
@@ -10,7 +9,6 @@ from repro.eval.experiments import (
     accuracy_memory_curve,
     cluster_ratio_sweep,
     evaluate_classifier,
-    grid_sweep,
     initialization_comparison,
 )
 
@@ -106,30 +104,6 @@ class TestAccuracyMemoryCurve:
             rng=2,
         )
         assert records[0].memory_kib < records[1].memory_kib
-
-
-class TestGridSweep:
-    def test_grid_keys_and_values(self, tiny_dataset):
-        grid = grid_sweep(
-            tiny_dataset,
-            dimensions=(32, 64),
-            columns=(8, 16),
-            base_config=MEMHDConfig(dimension=32, columns=8, epochs=2, seed=0),
-            rng=0,
-        )
-        assert set(grid.keys()) == {(32, 8), (32, 16), (64, 8), (64, 16)}
-        assert all(0.0 <= value <= 1.0 for value in grid.values())
-
-    def test_columns_below_class_count_skipped(self, tiny_dataset):
-        grid = grid_sweep(
-            tiny_dataset,
-            dimensions=(32,),
-            columns=(2, 8),
-            base_config=MEMHDConfig(dimension=32, columns=8, epochs=1, seed=0),
-            rng=1,
-        )
-        assert (32, 2) not in grid
-        assert (32, 8) in grid
 
 
 class TestInitializationComparison:

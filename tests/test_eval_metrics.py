@@ -7,8 +7,6 @@ from repro.eval.metrics import (
     accuracy,
     confusion_matrix,
     misclassification_counts,
-    misclassification_rates,
-    per_class_accuracy,
 )
 
 
@@ -71,20 +69,6 @@ class TestConfusionMatrix:
             confusion_matrix(np.array([0, 1]), np.array([0]))
 
 
-class TestPerClassAccuracy:
-    def test_values(self):
-        actual = np.array([0, 0, 1, 1, 1])
-        predicted = np.array([0, 1, 1, 1, 0])
-        result = per_class_accuracy(predicted, actual)
-        assert result[0] == pytest.approx(0.5)
-        assert result[1] == pytest.approx(2 / 3)
-
-    def test_absent_class_is_nan(self):
-        result = per_class_accuracy(np.array([0]), np.array([0]), num_classes=3)
-        assert np.isnan(result[1])
-        assert np.isnan(result[2])
-
-
 class TestMisclassification:
     def test_counts(self):
         actual = np.array([0, 0, 0, 1, 1, 2])
@@ -97,17 +81,6 @@ class TestMisclassification:
             np.array([1]), np.array([0]), num_classes=4
         )
         assert np.array_equal(counts, [1, 0, 0, 0])
-
-    def test_rates(self):
-        actual = np.array([0, 0, 1, 1])
-        predicted = np.array([1, 1, 1, 1])
-        rates = misclassification_rates(predicted, actual)
-        assert rates[0] == pytest.approx(1.0)
-        assert rates[1] == pytest.approx(0.0)
-
-    def test_rates_nan_for_absent_class(self):
-        rates = misclassification_rates(np.array([0]), np.array([0]), num_classes=2)
-        assert np.isnan(rates[1])
 
     def test_counts_plus_diagonal_equals_class_totals(self):
         gen = np.random.default_rng(1)

@@ -1,6 +1,5 @@
 """Unit tests for repro.eval.reporting."""
 
-import numpy as np
 import pytest
 
 from repro.eval.reporting import (
@@ -9,7 +8,6 @@ from repro.eval.reporting import (
     format_store_diff,
     format_sweep_records,
     format_table,
-    normalize_series,
     sweep_grid,
 )
 
@@ -48,21 +46,6 @@ class TestFormatTable:
         rows = [{"name": "a", "value": 1}, {"name": "longer-name", "value": 22}]
         lines = format_table(rows).splitlines()
         assert len({len(line) for line in lines[0:1] + lines[2:]}) == 1
-
-
-class TestNormalizeSeries:
-    def test_max_becomes_peak(self):
-        assert normalize_series([1.0, 2.0, 4.0]) == [25.0, 50.0, 100.0]
-
-    def test_custom_peak(self):
-        assert normalize_series([2.0, 1.0], peak=1.0) == [1.0, 0.5]
-
-    def test_empty(self):
-        assert normalize_series([]) == []
-
-    def test_non_positive_max_raises(self):
-        with pytest.raises(ValueError):
-            normalize_series([0.0, 0.0])
 
 
 class TestFormatAccuracyMemory:

@@ -9,17 +9,15 @@ and the golden-metrics regression gate pinned under ``tests/golden/``.
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.eval.store import ResultStore, config_key
+from repro.eval.store import ResultStore
 from repro.eval.sweep import (
     MODEL_DEFAULTS,
     SweepError,
     SweepSpec,
     best_record,
     build_model,
-    derive_job_seed,
     execute_job,
     run_sweep,
     spec_records,

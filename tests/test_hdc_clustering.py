@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.hdc.clustering as clustering
 from repro.hdc import _packed_kernels as kernels
-from repro.hdc.clustering import classwise_clustering, dot_kmeans
+from repro.hdc.clustering import dot_kmeans
 from repro.hdc.packed import pack_binary
 
 
@@ -103,51 +103,6 @@ class TestDotKMeans:
         result = dot_kmeans(samples, 3, rng=9)
         sims = samples @ result.centroids.T
         assert np.array_equal(result.assignments, np.argmax(sims, axis=1))
-
-
-class TestClasswiseClustering:
-    def test_returns_one_result_per_class(self):
-        samples, labels = _blobs(4, 20, 6, 5.0, 0)
-        results = classwise_clustering(samples, labels, clusters_per_class=2, rng=0)
-        assert set(results.keys()) == {0, 1, 2, 3}
-
-    def test_requested_cluster_count(self):
-        samples, labels = _blobs(3, 30, 6, 5.0, 1)
-        results = classwise_clustering(samples, labels, clusters_per_class=3, rng=1)
-        for result in results.values():
-            assert result.num_clusters == 3
-
-    def test_per_class_mapping(self):
-        samples, labels = _blobs(3, 20, 5, 5.0, 2)
-        results = classwise_clustering(
-            samples, labels, clusters_per_class={0: 1, 1: 2, 2: 3}, rng=2
-        )
-        assert results[0].num_clusters == 1
-        assert results[1].num_clusters == 2
-        assert results[2].num_clusters == 3
-
-    def test_sequence_mapping(self):
-        samples, labels = _blobs(2, 15, 5, 5.0, 3)
-        results = classwise_clustering(samples, labels, clusters_per_class=[2, 4], rng=3)
-        assert results[0].num_clusters == 2
-        assert results[1].num_clusters == 4
-
-    def test_request_clipped_to_sample_count(self):
-        samples, labels = _blobs(2, 3, 4, 5.0, 4)
-        results = classwise_clustering(samples, labels, clusters_per_class=10, rng=4)
-        for result in results.values():
-            assert result.num_clusters == 3
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            classwise_clustering(np.zeros((4, 3)), np.zeros(5), 1)
-
-    def test_deterministic(self):
-        samples, labels = _blobs(3, 20, 6, 4.0, 5)
-        a = classwise_clustering(samples, labels, 2, rng=99)
-        b = classwise_clustering(samples, labels, 2, rng=99)
-        for class_label in a:
-            assert np.allclose(a[class_label].centroids, b[class_label].centroids)
 
 
 # ------------------------------------------------- fast-path exactness
@@ -575,8 +530,9 @@ class TestPackedWordScores:
             dot_kmeans(samples, 6, rng=1, words=words[:, :1])
 
     def test_classwise_keeps_integer_samples_exact(self, monkeypatch):
+        # One int8 class block per class, as the init rounds pass them,
+        # against its float64 copy.
         samples = _int8_binary_samples(6, 120, 64)
-        labels = np.repeat(np.arange(3), 40)
         blocks = []
         lloyd = clustering._lloyd
 
@@ -585,13 +541,14 @@ class TestPackedWordScores:
             return lloyd(block, words, *args)
 
         monkeypatch.setattr(clustering, "_lloyd", spy)
-        exact = classwise_clustering(samples, labels, 4, rng=2)
-        assert blocks == [(np.int8, True)] * 3
-        floats = classwise_clustering(samples.astype(np.float64), labels, 4, rng=2)
-        for label in exact:
+        for block in np.split(samples, 3):
+            blocks.clear()
+            exact = dot_kmeans(block, 4, rng=2)
+            assert blocks == [(np.int8, True)]
+            floats = dot_kmeans(block.astype(np.float64), 4, rng=2)
             for field in ("centroids", "assignments"):
                 np.testing.assert_array_equal(
-                    getattr(exact[label], field), getattr(floats[label], field)
+                    getattr(exact, field), getattr(floats, field)
                 )
 
 

@@ -116,61 +116,6 @@ class TestLevelHypervectors:
             hv.level_hypervectors(1, 64)
 
 
-class TestBundleBindPermute:
-    def test_bundle_sums_elementwise(self):
-        vectors = np.array([[1, -1, 1], [1, 1, -1], [1, -1, -1]])
-        assert np.array_equal(hv.bundle(vectors), [3, -1, -1])
-
-    def test_bundle_axis(self):
-        vectors = np.array([[1, 2], [3, 4]])
-        assert np.array_equal(hv.bundle(vectors, axis=1), [3, 7])
-
-    def test_bundle_scalar_raises(self):
-        with pytest.raises(ValueError):
-            hv.bundle(np.float64(3.0))
-
-    def test_bundle_preserves_similarity_to_constituents(self):
-        vectors = hv.random_bipolar_hypervectors(5, 2000, rng=0).astype(np.float64)
-        bundled = hv.bundle(vectors)
-        other = hv.random_bipolar_hypervectors(1, 2000, rng=1)[0].astype(np.float64)
-        for vector in vectors:
-            assert bundled @ vector > abs(bundled @ other)
-
-    def test_bind_is_elementwise_product(self):
-        a = np.array([1, -1, 1, -1])
-        b = np.array([1, 1, -1, -1])
-        assert np.array_equal(hv.bind(a, b), [1, -1, -1, 1])
-
-    def test_bind_result_dissimilar_to_operands(self):
-        a = hv.random_bipolar_hypervectors(1, 4000, rng=0)[0].astype(np.float64)
-        b = hv.random_bipolar_hypervectors(1, 4000, rng=1)[0].astype(np.float64)
-        bound = hv.bind(a, b)
-        assert abs(bound @ a) / 4000 < 0.06
-        assert abs(bound @ b) / 4000 < 0.06
-
-    def test_bind_is_self_inverse_for_bipolar(self):
-        a = hv.random_bipolar_hypervectors(1, 512, rng=2)[0]
-        b = hv.random_bipolar_hypervectors(1, 512, rng=3)[0]
-        assert np.array_equal(hv.bind(hv.bind(a, b), b), a)
-
-    def test_bind_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            hv.bind(np.ones(4), np.ones(5))
-
-    def test_permute_rolls(self):
-        vector = np.array([1, 2, 3, 4])
-        assert np.array_equal(hv.permute(vector, 1), [4, 1, 2, 3])
-
-    def test_permute_inverse(self):
-        vector = hv.random_bipolar_hypervectors(1, 64, rng=0)[0]
-        assert np.array_equal(hv.permute(hv.permute(vector, 3), -3), vector)
-
-    def test_permute_batch_applies_last_axis(self):
-        batch = np.array([[1, 2, 3], [4, 5, 6]])
-        rolled = hv.permute(batch, 1)
-        assert np.array_equal(rolled, [[3, 1, 2], [6, 4, 5]])
-
-
 class TestQuantizers:
     def test_binarize_with_explicit_threshold(self):
         assert np.array_equal(hv.binarize([0.1, 0.6, 0.4], threshold=0.5), [0, 1, 0])
@@ -201,41 +146,6 @@ class TestQuantizers:
     def test_to_binary_rejects_other_values(self):
         with pytest.raises(ValueError):
             hv.to_binary(np.array([0, 1]))
-
-
-class TestMajorityBundle:
-    def test_odd_count_has_no_ties(self):
-        vectors = hv.random_bipolar_hypervectors(5, 256, rng=0)
-        result = hv.majority_bundle(vectors, rng=1)
-        assert set(np.unique(result)) <= {-1, 1}
-        expected_sign = np.sign(vectors.sum(axis=0))
-        agree = (result == expected_sign)[expected_sign != 0]
-        assert agree.all()
-
-    def test_tie_breaking_is_bipolar(self):
-        vectors = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-        result = hv.majority_bundle(vectors, rng=0)
-        assert set(np.unique(result)) <= {-1, 1}
-
-    def test_deterministic_given_seed(self):
-        vectors = hv.random_bipolar_hypervectors(4, 128, rng=5)
-        a = hv.majority_bundle(vectors, rng=9)
-        b = hv.majority_bundle(vectors, rng=9)
-        assert np.array_equal(a, b)
-
-
-class TestHypervectorCounts:
-    def test_accumulates(self):
-        vectors = [np.array([1, 0, 1]), np.array([1, 1, 0]), np.array([0, 1, 1])]
-        assert np.array_equal(hv.hypervector_counts(vectors), [2, 2, 2])
-
-    def test_empty_iterable_raises(self):
-        with pytest.raises(ValueError):
-            hv.hypervector_counts([])
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            hv.hypervector_counts([np.zeros(3), np.zeros(4)])
 
 
 class TestAsGenerator:

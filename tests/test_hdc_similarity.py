@@ -94,11 +94,6 @@ class TestHamming:
         a = np.array([0, 1, 0, 1])
         assert sim.hamming_distance(a, a) == 0
 
-    def test_similarity_complement(self):
-        a = np.array([0, 1, 1, 0])
-        b = np.array([1, 1, 0, 0])
-        assert sim.hamming_similarity(a, b) == pytest.approx(0.5)
-
     def test_batch_shapes(self):
         a = np.zeros((3, 8), dtype=int)
         b = np.ones((2, 8), dtype=int)
@@ -123,30 +118,3 @@ class TestHamming:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             sim.hamming_distance(np.zeros(3), np.zeros(4))
-
-
-class TestPairwiseAndTop1:
-    def test_pairwise_dot_symmetric(self):
-        rng = np.random.default_rng(2)
-        vectors = rng.normal(size=(5, 12))
-        matrix = sim.pairwise_dot(vectors)
-        assert matrix.shape == (5, 5)
-        assert np.allclose(matrix, matrix.T)
-
-    def test_pairwise_dot_requires_2d(self):
-        with pytest.raises(ValueError):
-            sim.pairwise_dot(np.ones(3))
-
-    def test_top1_vector(self):
-        assert sim.top1(np.array([0.1, 0.9, 0.3])) == 1
-
-    def test_top1_matrix(self):
-        scores = np.array([[1.0, 2.0], [5.0, 0.0]])
-        assert np.array_equal(sim.top1(scores), [1, 0])
-
-    def test_top1_tie_prefers_lowest_index(self):
-        assert sim.top1(np.array([3.0, 3.0, 1.0])) == 0
-
-    def test_top1_rejects_3d(self):
-        with pytest.raises(ValueError):
-            sim.top1(np.zeros((2, 2, 2)))

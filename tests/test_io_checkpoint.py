@@ -546,6 +546,18 @@ class TestLoadMapped:
             for member in extractions[0].iterdir()
         }
 
+    def test_extracted_files_honor_umask(self, tiny_dataset, tmp_path):
+        """Every ``.npy`` and the marker get the checkpoint's umask mode."""
+        from repro.io.checkpoint import _UMASK
+
+        path = tmp_path / "model.npz"
+        save_checkpoint(_fit_model("memhd", tiny_dataset), path)
+        load_mapped(path)
+        (extraction,) = (tmp_path / "model.npz.mapped").iterdir()
+        files = list(extraction.iterdir())
+        assert {member.suffix for member in files} == {".npy", ".json"}
+        assert {member.stat().st_mode & 0o777 for member in files} == {0o666 & ~_UMASK}
+
     def test_rewritten_checkpoint_invalidates_cache(self, tiny_dataset, tmp_path):
         path = tmp_path / "model.npz"
         save_checkpoint(_fit_model("memhd", tiny_dataset), path)

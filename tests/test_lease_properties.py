@@ -19,7 +19,6 @@ across several workers.  The invariants pinned here:
 
 import json
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.eval.distributed import LeaseDir

@@ -25,7 +25,7 @@ from repro.core.model import MEMHDModel
 from repro.hdc import _packed_kernels as kernels
 from repro.hdc.packed import PackedAM, pack_binary, pack_bipolar
 from repro.hdc.pruned import PrunedAM, default_prune_topk
-from repro.hdc.similarity import dot_similarity, pruned_top1, top1
+from repro.hdc.similarity import dot_similarity
 from repro.runtime.pipeline import InferencePipeline
 
 
@@ -231,19 +231,6 @@ class TestConfiguration:
         index.prune_topk = 2
         got = index.predict_columns(pack_binary(q))
         np.testing.assert_array_equal(got, _full_scan_rows(q, r, "binary"))
-
-    def test_pruned_top1_matches_top1(self):
-        rng = np.random.default_rng(29)
-        q = rng.integers(0, 2, (7, 90)).astype(np.int8)
-        r = rng.integers(0, 2, (33, 90)).astype(np.int8)
-        expected = top1(np.atleast_2d(dot_similarity(q, r)))
-        np.testing.assert_array_equal(pruned_top1(q, r), expected)
-        groups = rng.integers(0, 6, 33)
-        np.testing.assert_array_equal(
-            pruned_top1(q, r, groups=groups, prune_topk=2), expected
-        )
-        with pytest.raises(ValueError):
-            pruned_top1(q, r, groups=np.zeros(5))
 
 
 # --------------------------------------------------------------------------

@@ -20,13 +20,11 @@ PUBLIC_MODULES = [
     "repro.hdc.similarity",
     "repro.hdc.encoders",
     "repro.hdc.clustering",
-    "repro.hdc.item_memory",
     "repro.hdc.memory_model",
     "repro.hdc.packed",
     "repro.data",
     "repro.data.datasets",
     "repro.data.synthetic",
-    "repro.data.preprocessing",
     "repro.baselines",
     "repro.baselines.base",
     "repro.baselines.basic_hdc",
@@ -58,7 +56,6 @@ PUBLIC_MODULES = [
     "repro.eval.metrics",
     "repro.eval.experiments",
     "repro.eval.reporting",
-    "repro.eval.statistics",
     "repro.cli",
 ]
 

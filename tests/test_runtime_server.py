@@ -166,6 +166,44 @@ class TestErrorHandling:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("framing", ["chunked", "unframed"])
+    def test_post_without_content_length_411_and_close(
+        self, server, trained_memhd, framing
+    ):
+        """A body the handler cannot measure must not desync keep-alive.
+
+        The pipelined ``GET /healthz`` must never be answered: the server
+        refuses the POST with one JSON 411 and drops the connection, so
+        leftover chunk bytes are never parsed as a request line.
+        """
+        import socket
+
+        model, _ = trained_memhd
+        body = json.dumps({"features": [[0.5] * model.num_features]})
+        if framing == "chunked":
+            headers = "Transfer-Encoding: chunked\r\n"
+            payload = f"{len(body):x}\r\n{body}\r\n0\r\n\r\n"
+        else:
+            headers, payload = "", ""
+        request = (
+            f"POST /predict HTTP/1.1\r\nHost: test\r\n{headers}"
+            "Content-Type: application/json\r\n\r\n"
+            f"{payload}GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+        )
+        received = b""
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(request.encode("ascii"))
+            try:
+                while chunk := sock.recv(65536):
+                    received += chunk
+            except TimeoutError:
+                pass  # the connection stayed open: asserted below
+        head, _, rest = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411 ")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(rest)["error"]
+        assert received.count(b"HTTP/1.1 ") == 1
+
     def test_errors_counted_in_stats(self, server):
         before = _get(server.url + "/stats")[1]["errors"]
         with pytest.raises(urllib.error.HTTPError):

@@ -208,8 +208,9 @@ def _load_npz(path: str, name: str) -> Dataset:
         # Normalize into [0, 1] so the encoders can assume a fixed range.
         high = max(train_x.max(), test_x.max())
         if high > 1.0:
-            train_x = train_x / high
-            test_x = test_x / high
+            # In place: astype already made the float64 copies.
+            train_x /= high
+            test_x /= high
         return Dataset(
             name=name,
             train_features=train_x,

@@ -132,7 +132,11 @@ def _generate_split(
     samples_per_class: int,
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Generate one split by sampling modes, embedding, and adding noise."""
+    """Generate one split by sampling modes, embedding, and adding noise.
+
+    Each class block is computed in its rows of the split, so besides the
+    split the only working set is one class block of noise.
+    """
     features = np.empty(
         (spec.num_classes * samples_per_class, spec.num_features), dtype=np.float64
     )
@@ -143,9 +147,10 @@ def _generate_split(
         latent = mode_centers[class_index, modes] + rng.normal(
             0.0, 1.0, size=(samples_per_class, spec.latent_dim)
         )
-        observed = latent @ embedding + offset
+        observed = features[row : row + samples_per_class]
+        np.matmul(latent, embedding, out=observed)
+        observed += offset
         observed += rng.normal(0.0, spec.noise_scale, size=observed.shape)
-        features[row : row + samples_per_class] = observed
         labels[row : row + samples_per_class] = class_index
         row += samples_per_class
     return features, labels
@@ -179,23 +184,46 @@ def make_multimodal_classification(
         spec, mode_centers, embedding, offset, spec.test_per_class, gen
     )
 
-    # Joint min-max normalization into [0, 1].
-    both = np.vstack([train_x, test_x])
-    low = both.min(axis=0)
-    high = both.max(axis=0)
+    # Joint min-max normalization into [0, 1], in place: the extremes of
+    # the union are the extremes of the per-split extremes.
+    low = np.minimum(train_x.min(axis=0), test_x.min(axis=0))
+    high = np.maximum(train_x.max(axis=0), test_x.max(axis=0))
     span = np.where(high > low, high - low, 1.0)
-    train_x = (train_x - low) / span
-    test_x = (test_x - low) / span
+    for split in (train_x, test_x):
+        split -= low
+        split /= span
 
     # Shuffle within each split so class blocks are not contiguous.
     train_order = gen.permutation(train_x.shape[0])
     test_order = gen.permutation(test_x.shape[0])
-    return (
-        train_x[train_order],
-        train_y[train_order],
-        test_x[test_order],
-        test_y[test_order],
-    )
+    _permute_rows(train_x, train_order)
+    _permute_rows(test_x, test_order)
+    return train_x, train_y[train_order], test_x, test_y[test_order]
+
+
+def _permute_rows(array: np.ndarray, order: np.ndarray) -> None:
+    """Reorder the rows of ``array`` in place to ``array[order]``.
+
+    Follows each cycle of the permutation ``order`` with one row held
+    aside, so the shuffle needs one row of scratch, not a copy of the
+    array.
+    """
+    order = order.tolist()
+    done = bytearray(len(order))
+    held = np.empty(array.shape[1:], dtype=array.dtype)
+    for start, source in enumerate(order):
+        if done[start]:
+            continue
+        done[start] = 1
+        if source == start:
+            continue
+        held[...] = array[start]
+        target = start
+        while source != start:
+            array[target] = array[source]
+            done[source] = 1
+            target, source = source, order[source]
+        array[target] = held
 
 
 def make_synthetic_dataset(

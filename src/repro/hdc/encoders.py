@@ -487,6 +487,12 @@ _U64 = 2.0**-53
 #: it no float32 partial sum can overflow, for any ``f`` the tiers accept.
 _FAST_LIMIT = 2.0**100
 
+#: Rows per block of an exact-sign encode.  A larger batch is cast,
+#: multiplied and packed one block at a time, so its float32 transient is
+#: one block's (~30 MB at f = 784, D = 128), not the batch's; a 5,000-row
+#: test split still runs as one GEMM.
+_ENCODE_BLOCK_ROWS = 8192
+
 
 def _gamma(terms: int, unit: float) -> float:
     """Higham's ``gamma_n = n*u / (1 - n*u)``; inf once ``n*u >= 1/2``."""
@@ -550,7 +556,25 @@ def _exact_sign_words(
     a tie throughout.
 
     **Exact tier** (:func:`_settle_open`) decides what is still open.
+
+    A batch past :data:`_ENCODE_BLOCK_ROWS` rows runs the three tiers one
+    row block at a time.  A row's bits depend on the row alone, so the
+    blocks change no bit.
     """
+    rows = features.shape[0]
+    if rows <= _ENCODE_BLOCK_ROWS:
+        return _exact_sign_block(features, widened, packer)
+    words = np.empty((rows, (widened.shape[1] + 63) // 64), dtype=np.uint64)
+    for start in range(0, rows, _ENCODE_BLOCK_ROWS):
+        stop = start + _ENCODE_BLOCK_ROWS
+        words[start:stop] = _exact_sign_block(features[start:stop], widened, packer)
+    return words
+
+
+def _exact_sign_block(
+    features: np.ndarray, widened: np.ndarray, packer: _kernels.SignPacker
+) -> np.ndarray:
+    """:func:`_exact_sign_words` of one block of rows."""
     # A finite entry beyond the float32 range casts to inf, and a row with
     # a non-finite entry sums to NaN: such rows skip both float tiers.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import tracemalloc
 import urllib.request
 import warnings
 from fractions import Fraction
@@ -317,6 +318,97 @@ class TestBatchInvariance:
             server.shutdown()
         assert not failures
         assert [served[i] for i in range(64)] == expected
+
+
+@pytest.fixture(params=["native", "numpy"])
+def pinned_backend(request):
+    """Pin each kernel backend in turn (native skipped where unavailable)."""
+    if request.param == "native" and kernels.backend_name() != "native":
+        pytest.skip("native kernel unavailable on this machine")
+    kernels.set_backend(request.param)
+    yield request.param
+    kernels.set_backend(None)
+
+
+class TestRowBlocks:
+    """A batch past ``_ENCODE_BLOCK_ROWS`` is encoded one row block at a time."""
+
+    BLOCK = 3
+
+    def rows(self, encoder):
+        """Seven rows; the later blocks hold rows the exact tier settles."""
+        rng = np.random.default_rng(11)
+        rows = rng.normal(size=(7, encoder.num_features))
+        rows[[3, 6]] = cancelling_rows(encoder.num_features, 2, seed=11)
+        rows[4, 2] = np.nan
+        rows[5, 1] = np.inf
+        return rows
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 7])
+    def test_blocks_equal_one_block_and_single_rows(
+        self, monkeypatch, pinned_backend, count
+    ):
+        encoder = RandomProjectionEncoder(24, 130, rng=10)
+        features = self.rows(encoder)[:count]
+        whole = encoder.encode_packed(features).words
+        single = np.vstack(
+            [encoder.encode_packed(features[i : i + 1]).words for i in range(count)]
+        )
+        settled = []
+        settle = encoders._settle_open
+
+        def recording_settle(block, columns, words, undecided):
+            settled.append(block.shape[0])
+            return settle(block, columns, words, undecided)
+
+        monkeypatch.setattr(encoders, "_ENCODE_BLOCK_ROWS", self.BLOCK)
+        monkeypatch.setattr(encoders, "_settle_open", recording_settle)
+        blocked = encoder.encode_packed(features).words
+        assert blocked.dtype == whole.dtype == np.uint64
+        np.testing.assert_array_equal(blocked, whole)
+        np.testing.assert_array_equal(blocked, single)
+        with np.errstate(all="ignore"):
+            expected = _exact_bits(encoder.projection, features)
+        np.testing.assert_array_equal(_unpack(blocked)[:, :130], expected)
+        # Rows 3-6 leave entries open: each later block settles its own.
+        assert settled == {2: [], 3: [], 4: [1], 7: [3, 1]}[count]
+
+    def test_blocked_model_predicts_as_one_block(self, monkeypatch, tiny_dataset):
+        config = MEMHDConfig(dimension=256, columns=16, epochs=2, seed=3)
+        args = (tiny_dataset.num_features, tiny_dataset.num_classes, config)
+        whole = MEMHDModel(*args)
+        whole.fit(tiny_dataset.train_features, tiny_dataset.train_labels)
+        monkeypatch.setattr(encoders, "_ENCODE_BLOCK_ROWS", 7)
+        blocked = MEMHDModel(*args)
+        blocked.fit(tiny_dataset.train_features, tiny_dataset.train_labels)
+        for name in ("fp_memory", "binary_memory", "column_classes"):
+            np.testing.assert_array_equal(
+                getattr(blocked.associative_memory, name),
+                getattr(whole.associative_memory, name),
+            )
+        np.testing.assert_array_equal(
+            blocked.predict(tiny_dataset.test_features, engine="packed"),
+            whole.predict(tiny_dataset.test_features, engine="packed"),
+        )
+
+    def test_traced_peak_is_one_block(self, monkeypatch, pinned_backend):
+        block, num_features, dimension = 256, 512, 256
+        monkeypatch.setattr(encoders, "_ENCODE_BLOCK_ROWS", block)
+        encoder = RandomProjectionEncoder(num_features, dimension, rng=9)
+        features = np.random.default_rng(9).random((16 * block, num_features))
+        encoder.encode_packed(features[:1])  # widening and kernel built untraced
+        tracemalloc.start()
+        try:
+            words = encoder.encode_packed(features).words
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One block's float32 cast and sums, and the packer's two word arrays.
+        allowance = block * (num_features + dimension) * 4 + 2 * words.nbytes // 16
+        if pinned_backend == "numpy":
+            allowance += block * num_features * 8  # the twin's float64 |x|
+        assert peak <= words.nbytes + allowance + 2**16
+        assert peak < features.shape[0] * num_features * 4  # under one whole cast
 
 
 def _unpack(words: np.ndarray) -> np.ndarray:

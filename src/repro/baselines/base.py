@@ -195,14 +195,16 @@ class BinaryAMClassifier(HDCClassifier):
 
         For the packed engine this packs the binary AM into ``uint64``
         words; for the pruned engine it additionally builds the per-class
-        centroid sketches.  A projection encoder's widening (float32 for
-        the binary projection, with the exact-sign encode's bound
-        coefficients) is built in every case, so the first served chunk
-        pays no lazy-initialization cost.
+        centroid sketches.  A projection encoder's sign packer (the
+        projection's bits and the exact-sign encode's bound coefficients)
+        is built in every case, so the first served chunk pays no
+        lazy-initialization cost.  Its float32 widening is not: only a
+        batch that takes the GEMM builds it (see
+        :meth:`RandomProjectionEncoder.widened_projection`).
         """
         self.engine.prepare(engine)
         if isinstance(self.encoder, RandomProjectionEncoder):
-            self.encoder.widened_projection()
+            self.encoder._operands()
 
     def configure_pruning(self, prune_topk: Optional[int]) -> None:
         """Set the pruned engine's shortlist width (None = heuristic)."""

@@ -37,8 +37,11 @@ is native only, and its callers keep a numpy path.
 The same library carries the exact-sign encoder's ``sign_pack`` kernel
 (:class:`SignPacker`): one pass over a row of float32 projection sums
 that certifies each sign against an error bound, recomputes the
-uncertified ones in float64 and packs the sign and "still open" bits.
-Its numpy twin gives the same words and the same open bits.
+uncertified ones in float64 from the projection's bits and packs the
+sign and "still open" bits.  Its numpy twin gives the same words and the
+same open bits.  ``sign_encode`` computes those float32 sums itself, by
+table lookup from the bits, before the same certification; it is native
+only, and the numpy backend keeps the GEMM.
 
 The k-means initialization's certified assignment is
 :func:`certified_argmax`: each row's first best cluster of exact integer
@@ -307,35 +310,65 @@ void sparse_scan(const uint64_t* q, const uint64_t* r,
 }
 
 /* Certified sign packing for the exact-sign encoder.  Row i of the
- * float64 features x has the float32 sums s (computed from float32(x)),
- * and mt holds the +-1 projection column-major: column j at mt + j * f.
- * With the row's norm ||x||_1 (in float64):
+ * float64 features x has float32 sums s_j of the terms M_kj * float32(x_k).
+ * The +-1 projection M is held as bits, column-major: byte g of column j,
+ * bits[j * groups + g], has bit k set when M_(8g+k),j = +1 (pad bits are
+ * 0).  With the row's norm ||x||_1 (in float64):
  *   - a row whose norm is not below `limit` (or is NaN) is left open;
  *   - an all-zero row sums to exactly 0: every bit is 1;
  *   - otherwise an entry with |s| above rel32 * norm + abs32, rounded up
  *     to float32, takes the sign of s (float32 tier); any other entry is
- *     recomputed in float64 from its column and takes the sign of that
- *     sum v when |v| > rel64 * norm + abs64 (float64 tier), or is open.
+ *     recomputed in float64 from its column's bits and takes the sign of
+ *     that sum v when |v| > rel64 * norm + abs64 (float64 tier), or is
+ *     open.
  * `out` holds the n x nwords sign words, then the n x nwords open words;
- * tail bits past d stay zero.  Returns the number of open entries.  Sums
- * run in four interleaved partial sums, an order the numpy twin
- * reproduces, and `volatile` keeps the bounds free of FMA contraction. */
-static double interleaved_sum(const double* a, const float* m, size_t f) {
+ * tail bits past d stay zero.  Both entry points return the number of
+ * open entries.  Sums run in four interleaved partial sums, an order the
+ * numpy twin reproduces, and `volatile` keeps the bounds free of FMA
+ * contraction. */
+static double abs_sum(const double* a, size_t f) {
     double part[4] = {0.0, 0.0, 0.0, 0.0};
     size_t k = 0;
-    if (m == NULL) {
-        for (; k + 4 <= f; k += 4)
-            for (int j = 0; j < 4; ++j)
-                part[j] += fabs(a[k + j]);
-        for (; k < f; ++k)
-            part[0] += fabs(a[k]);
-    } else { /* products with +-1 are exact, fused or not */
-        for (; k + 4 <= f; k += 4)
-            for (int j = 0; j < 4; ++j)
-                part[j] += a[k + j] * (double)m[k + j];
-        for (; k < f; ++k)
-            part[0] += a[k] * (double)m[k];
+    for (; k + 4 <= f; k += 4)
+        for (int j = 0; j < 4; ++j)
+            part[j] += fabs(a[k + j]);
+    for (; k < f; ++k)
+        part[0] += fabs(a[k]);
+    return (part[0] + part[1]) + (part[2] + part[3]);
+}
+
+/* sign_masks[t][k] flips a double's sign bit unless bit k of byte t is
+ * set.  XOR-ing it in negates a term without a branch: the bits are
+ * random, and a branch per term mispredicts half the time. */
+#define SIGN_MASK(t, k) ((uint64_t)((((t) >> (k)) & 1) ^ 1) << 63)
+#define MASKS1(t) {SIGN_MASK(t, 0), SIGN_MASK(t, 1), SIGN_MASK(t, 2), \
+    SIGN_MASK(t, 3), SIGN_MASK(t, 4), SIGN_MASK(t, 5), SIGN_MASK(t, 6), \
+    SIGN_MASK(t, 7)}
+#define MASKS4(t) MASKS1(t), MASKS1(t + 1), MASKS1(t + 2), MASKS1(t + 3)
+#define MASKS16(t) MASKS4(t), MASKS4(t + 4), MASKS4(t + 8), MASKS4(t + 12)
+#define MASKS64(t) MASKS16(t), MASKS16(t + 16), MASKS16(t + 32), MASKS16(t + 48)
+static const uint64_t sign_masks[256][8] = {
+    MASKS64(0), MASKS64(64), MASKS64(128), MASKS64(192)};
+
+static inline double flip(double v, uint64_t mask) {
+    uint64_t u;
+    memcpy(&u, &v, sizeof u);
+    u ^= mask;
+    memcpy(&v, &u, sizeof v);
+    return v;
+}
+
+/* The products with +-1 are exact: a term is a_k or -a_k. */
+static double signed_sum(const double* a, const uint8_t* col, size_t f) {
+    double part[4] = {0.0, 0.0, 0.0, 0.0};
+    size_t k = 0;
+    for (; k + 4 <= f; k += 4) {
+        const uint64_t* m = sign_masks[col[k >> 3]] + (k & 4);
+        for (int j = 0; j < 4; ++j)
+            part[j] += flip(a[k + j], m[j]);
     }
+    for (; k < f; ++k)
+        part[0] += flip(a[k], sign_masks[col[k >> 3]][k & 7]);
     return (part[0] + part[1]) + (part[2] + part[3]);
 }
 
@@ -350,49 +383,135 @@ static float bound_up(double bound) {
     return hi;
 }
 
-int64_t sign_pack(const double* x, const float* s, const float* mt,
+typedef struct {
+    double rel32, abs32, rel64, abs64, limit;
+} bounds_t;
+
+/* One row of the certified packing; si is read only when 0 < norm < limit. */
+static int64_t pack_row(const double* xi, const float* si, double norm,
+                        const uint8_t* bits, uint64_t* words, uint64_t* open,
+                        size_t f, size_t d, size_t nwords, size_t groups,
+                        const bounds_t* b) {
+    volatile double scaled32 = norm * b->rel32, scaled64 = norm * b->rel64;
+    const float hi = bound_up(scaled32 + b->abs32), lo = -hi;
+    const double hi64 = scaled64 + b->abs64;
+    int64_t total = 0;
+    for (size_t w = 0; w < nwords; ++w) {
+        const float* sw = si + w * 64;
+        const size_t len = d - w * 64 < 64 ? d - w * 64 : 64;
+        const uint64_t mask = len < 64 ? ((uint64_t)1 << len) - 1 : ~(uint64_t)0;
+        uint64_t pos = 0, undecided = mask;
+        if (norm == 0.0) {
+            pos = mask;
+            undecided = 0;
+        } else if (norm < b->limit) {
+            uint64_t neg = 0;
+            for (size_t k = 0; k < len; ++k) {
+                pos |= (uint64_t)(sw[k] > hi) << k;
+                neg |= (uint64_t)(sw[k] < lo) << k;
+            }
+            undecided = ~(pos | neg) & mask;
+            for (uint64_t left = undecided; left; left &= left - 1) {
+                const int k = __builtin_ctzll(left);
+                const double v = signed_sum(xi, bits + (w * 64 + k) * groups, f);
+                const uint64_t bit = (uint64_t)1 << k;
+                if (v > hi64)
+                    pos |= bit;
+                if (v > hi64 || v < -hi64)
+                    undecided &= ~bit;
+            }
+        }
+        words[w] = pos;
+        open[w] = undecided;
+        total += __builtin_popcountll(undecided);
+    }
+    return total;
+}
+
+/* Certifies the n x d float32 sums s of a GEMM. */
+int64_t sign_pack(const double* x, const float* s, const uint8_t* bits,
                   uint64_t* out, size_t n, size_t f, size_t d, size_t nwords,
-                  double rel32, double abs32, double rel64, double abs64,
-                  double limit) {
-    uint64_t* words = out;
-    uint64_t* open = out + n * nwords;
+                  size_t groups, double rel32, double abs32, double rel64,
+                  double abs64, double limit) {
+    const bounds_t b = {rel32, abs32, rel64, abs64, limit};
+    int64_t total = 0;
+    for (size_t i = 0; i < n; ++i)
+        total += pack_row(x + i * f, s + i * d, abs_sum(x + i * f, f), bits,
+                          out + i * nwords, out + (n + i) * nwords,
+                          f, d, nwords, groups, &b);
+    return total;
+}
+
+/* One column's sum over the groups' tables: eight bytes of the column
+ * per load, one table entry per byte, into four interleaved partial sums.
+ * (Eight partial sums ran slower.) */
+static float table_sum(const float* table, const uint8_t* col, size_t groups) {
+    float acc[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+    size_t g = 0;
+    for (; g + 8 <= groups; g += 8) {
+        uint64_t w;
+        memcpy(&w, col + g, sizeof w);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        w = __builtin_bswap64(w); /* byte g first */
+#endif
+        const float* t = table + 256 * g;
+        acc[0] += t[w & 255];
+        acc[1] += t[256 + ((w >> 8) & 255)];
+        acc[2] += t[512 + ((w >> 16) & 255)];
+        acc[3] += t[768 + ((w >> 24) & 255)];
+        acc[0] += t[1024 + ((w >> 32) & 255)];
+        acc[1] += t[1280 + ((w >> 40) & 255)];
+        acc[2] += t[1536 + ((w >> 48) & 255)];
+        acc[3] += t[1792 + (w >> 56)];
+    }
+    for (; g < groups; ++g)
+        acc[0] += table[256 * g + col[g]];
+    return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+/* The sums straight from the bits, then sign_pack's certification.  Per
+ * row, y = float32(x), cast only when 0 < norm < limit (so every entry
+ * is finite and in float32's range).  For each group of 8 features the
+ * 256 signed partial sums are built by appending one term at a time:
+ * entry t of group g is the float32 sum, in feature order, of the terms
+ * +-y_(8g+k), + where bit k of t is set.  Column j's sum adds one entry
+ * per group, in four interleaved partial sums.  Every entry and every
+ * total is a float32 sum of the exact terms +-y_k, so a sum is one
+ * summation tree over the f terms (pad terms are exact zeros), and the
+ * float32 tier's order-free bound holds for it.  scratch holds
+ * 256 * groups + d floats. */
+int64_t sign_encode(const double* x, float* scratch, const uint8_t* bits,
+                    uint64_t* out, size_t n, size_t f, size_t d, size_t nwords,
+                    size_t groups, double rel32, double abs32, double rel64,
+                    double abs64, double limit) {
+    const bounds_t b = {rel32, abs32, rel64, abs64, limit};
+    float* table = scratch;
+    float* s = scratch + 256 * groups;
     int64_t total = 0;
     for (size_t i = 0; i < n; ++i) {
         const double* xi = x + i * f;
-        const float* si = s + i * d;
-        const double norm = interleaved_sum(xi, NULL, f);
-        volatile double scaled32 = norm * rel32, scaled64 = norm * rel64;
-        const float hi = bound_up(scaled32 + abs32), lo = -hi;
-        const double hi64 = scaled64 + abs64;
-        for (size_t w = 0; w < nwords; ++w) {
-            const float* sw = si + w * 64;
-            const size_t len = d - w * 64 < 64 ? d - w * 64 : 64;
-            const uint64_t mask = len < 64 ? ((uint64_t)1 << len) - 1 : ~(uint64_t)0;
-            uint64_t pos = 0, undecided = mask;
-            if (norm == 0.0) {
-                pos = mask;
-                undecided = 0;
-            } else if (norm < limit) {
-                uint64_t neg = 0;
-                for (size_t k = 0; k < len; ++k) {
-                    pos |= (uint64_t)(sw[k] > hi) << k;
-                    neg |= (uint64_t)(sw[k] < lo) << k;
-                }
-                undecided = ~(pos | neg) & mask;
-                for (uint64_t left = undecided; left; left &= left - 1) {
-                    const int k = __builtin_ctzll(left);
-                    const double v = interleaved_sum(xi, mt + (w * 64 + k) * f, f);
-                    const uint64_t bit = (uint64_t)1 << k;
-                    if (v > hi64)
-                        pos |= bit;
-                    if (v > hi64 || v < -hi64)
-                        undecided &= ~bit;
+        const double norm = abs_sum(xi, f);
+        if (norm > 0.0 && norm < limit) {
+            for (size_t g = 0; g < groups; ++g) {
+                float* t = table + 256 * g;
+                float y[8];
+                for (size_t k = 0; k < 8; ++k)
+                    y[k] = 8 * g + k < f ? (float)xi[8 * g + k] : 0.0f;
+                t[0] = -y[0];
+                t[1] = y[0];
+                for (size_t k = 1; k < 8; ++k) {
+                    const size_t half = (size_t)1 << k;
+                    for (size_t e = 0; e < half; ++e) {
+                        t[half + e] = t[e] + y[k];
+                        t[e] = t[e] - y[k];
+                    }
                 }
             }
-            words[i * nwords + w] = pos;
-            open[i * nwords + w] = undecided;
-            total += __builtin_popcountll(undecided);
+            for (size_t j = 0; j < d; ++j)
+                s[j] = table_sum(table, bits + j * groups, groups);
         }
+        total += pack_row(xi, s, norm, bits, out + i * nwords,
+                          out + (n + i) * nwords, f, d, nwords, groups, &b);
     }
     return total;
 }
@@ -565,8 +684,9 @@ def _load_native() -> Optional[ctypes.CDLL]:
         lib.certified_argmax.restype = ctypes.c_int64
         lib.sparse_scan.argtypes = [pointer] * 8 + [size_t] * 2 + [c_int]
         lib.sparse_scan.restype = None
-        lib.sign_pack.argtypes = [pointer] * 4 + [size_t] * 4 + [double] * 5
-        lib.sign_pack.restype = ctypes.c_int64
+        for name in ("sign_pack", "sign_encode"):
+            getattr(lib, name).argtypes = [pointer] * 4 + [size_t] * 5 + [double] * 5
+            getattr(lib, name).restype = ctypes.c_int64
         _build_info = info
         _native_lib = lib
     return _native_lib
@@ -885,7 +1005,7 @@ def _float32_up(bound: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _numpy_sign_pack(features, values, columns, coefficients, limit):
+def _numpy_sign_pack(features, values, bits, coefficients, limit):
     from repro.hdc.packed import pack_binary  # packed imports this module
 
     rel32, abs32, rel64, abs64 = coefficients
@@ -899,10 +1019,12 @@ def _numpy_sign_pack(features, values, columns, coefficients, limit):
     positive[zero] = True
     undecided[zero] = False
     rows, cols = np.nonzero(undecided & (fast & ~zero)[:, None])
+    num_features = features.shape[1]
     for start in range(0, rows.shape[0], _GATHER_CHUNK):
         r = rows[start : start + _GATHER_CHUNK]
         c = cols[start : start + _GATHER_CHUNK]
-        sums = _interleaved_sum(features[r] * columns[c])
+        signs = np.unpackbits(bits[c], axis=1, count=num_features, bitorder="little")
+        sums = _interleaved_sum(np.where(signs, features[r], -features[r]))
         hi64 = norms[r] * rel64 + abs64
         positive[r, c] = sums > hi64
         undecided[r, c] = ~((sums > hi64) | (sums < -hi64))
@@ -914,27 +1036,29 @@ def _numpy_sign_pack(features, values, columns, coefficients, limit):
 class SignPacker:
     """Certified packed signs of ``features @ M`` for one ``±1`` projection.
 
-    ``columns`` is the ``(D, f)`` float32 matrix ``M^T`` (column ``d`` of
-    ``M`` contiguous), and ``coefficients = (rel32, abs32, rel64, abs64)``
-    size the two tiers' bounds.  The static operands are bound once, so a
-    call only pays for its own rows.  Calling the packer with ``(n, f)``
-    float64 ``features`` and the ``(n, D)`` float32 sums ``values =
-    float32(features) @ M`` certifies each entry from the row's float64
-    norm ``||x||_1``:
+    ``columns`` is the ``(D, f)`` matrix ``M^T`` of ``±1`` entries, and
+    ``coefficients = (rel32, abs32, rel64, abs64)`` size the two tiers'
+    bounds.  The packer keeps ``M`` only as :attr:`bits`, ``D *
+    ceil(f / 8)`` bytes, column-major: byte ``g`` of column ``d`` has bit
+    ``k`` set when ``M[8g + k, d] = +1``.  Calling the packer with
+    ``(n, f)`` float64 ``features`` and the ``(n, D)`` float32 sums
+    ``values = float32(features) @ M`` certifies each entry from the row's
+    float64 norm ``||x||_1``:
 
     * a row whose norm is not below ``limit`` (or is NaN) is left open;
     * an all-zero row sums to exactly 0: every bit is 1;
     * otherwise an entry with ``|values|`` above ``rel32 * norm + abs32``,
       rounded up to float32, takes the sign of ``values`` (float32 tier);
-      any other entry is recomputed in float64 from its column and takes
-      the sign of that sum ``v`` when ``|v| > rel64 * norm + abs64``
+      any other entry is recomputed in float64 from its column's bits and
+      takes the sign of that sum ``v`` when ``|v| > rel64 * norm + abs64``
       (float64 tier), or is left open.
 
     The call returns ``(words, open, count)``: two ``(n, ceil(D / 64))``
     uint64 arrays of sign bits and open bits (tail bits past ``D`` zero)
     and the number of open bits.  The native kernel -- one pass over each
     row of ``values``, with the float64 tier inline -- and the numpy twin
-    agree bit for bit.
+    agree bit for bit.  :meth:`encode` computes the float32 sums itself,
+    from the bits.
     """
 
     def __init__(
@@ -943,36 +1067,72 @@ class SignPacker:
         coefficients: Tuple[float, float, float, float],
         limit: float,
     ) -> None:
-        self.columns = np.ascontiguousarray(columns, dtype=np.float32)
+        columns = np.asarray(columns)
+        if columns.ndim != 2:
+            raise ValueError("columns must be a 2-D (D, f) matrix")
+        self.dimension, self.num_features = columns.shape
+        self.bits = np.ascontiguousarray(
+            np.packbits(columns > 0, axis=1, bitorder="little")
+        )
         self.coefficients = tuple(float(c) for c in coefficients)
         self.limit = float(limit)
-        self._columns_address = _address(self.columns)
+        self._bits_address = _address(self.bits)
 
-    def __call__(self, features: np.ndarray, values: np.ndarray):
+    def _check(self, features: np.ndarray) -> np.ndarray:
         features = np.ascontiguousarray(features, dtype=np.float64)
-        values = np.ascontiguousarray(values, dtype=np.float32)
-        (n, num_features), dimension = features.shape, values.shape[1]
-        if values.shape[0] != n or self.columns.shape != (dimension, num_features):
+        if features.ndim != 2 or features.shape[1] != self.num_features:
             raise ValueError(
-                f"shape mismatch: features {features.shape}, values "
-                f"{values.shape}, columns {self.columns.shape}"
+                f"shape mismatch: features {features.shape}, columns "
+                f"{(self.dimension, self.num_features)}"
             )
-        if n == 0 or num_features == 0 or backend_name() != "native":
-            return _numpy_sign_pack(
-                features, values, self.columns, self.coefficients, self.limit
-            )
-        nwords = (dimension + 63) // 64
+        return features
+
+    def _native(self, entry, features: np.ndarray, operand: np.ndarray):
+        """Run ``sign_pack`` (``operand``: the sums) or ``sign_encode``
+        (``operand``: its scratch)."""
+        n, nwords = features.shape[0], (self.dimension + 63) // 64
         out = np.empty((2, n, nwords), dtype=np.uint64)
-        count = _native_lib.sign_pack(
+        count = entry(
             _address(features),
-            _address(values),
-            self._columns_address,
+            _address(operand),
+            self._bits_address,
             _address(out),
             n,
-            num_features,
-            dimension,
+            self.num_features,
+            self.dimension,
             nwords,
+            self.bits.shape[1],
             *self.coefficients,
             self.limit,
         )
         return out[0], out[1], int(count)
+
+    def __call__(self, features: np.ndarray, values: np.ndarray):
+        features = self._check(features)
+        values = np.ascontiguousarray(values, dtype=np.float32)
+        if values.shape != (features.shape[0], self.dimension):
+            raise ValueError(
+                f"shape mismatch: features {features.shape}, values "
+                f"{values.shape}, columns {(self.dimension, self.num_features)}"
+            )
+        if features.size == 0 or backend_name() != "native":
+            return _numpy_sign_pack(
+                features, values, self.bits, self.coefficients, self.limit
+            )
+        return self._native(_native_lib.sign_pack, features, values)
+
+    def encode(self, features: np.ndarray):
+        """``(words, open, count)`` as from ``self(features, values)``, with
+        the float32 sums computed from :attr:`bits` by table lookup.
+
+        Native backend only.  Per row and group of 8 features, the kernel
+        builds the 256 signed partial sums of the row's float32 terms, then
+        adds one entry per group for each column: each sum is a float32 sum
+        of the exact terms in another order than a GEMM's, which the
+        float32 tier's bound covers.  A row the tiers skip is never cast.
+        """
+        if backend_name() != "native":
+            raise RuntimeError("SignPacker.encode requires the native kernel backend")
+        features = self._check(features)
+        scratch = np.empty(256 * self.bits.shape[1] + self.dimension, np.float32)
+        return self._native(_native_lib.sign_encode, features, scratch)

@@ -26,7 +26,7 @@ import abc
 import functools
 import math
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -211,10 +211,9 @@ class RandomProjectionEncoder(Encoder):
         Encoder.__init__(self, matrix.shape[0], matrix.shape[1])
         self.binary_projection = bool(binary_projection)
         self.quantize_output = bool(quantize_output)
-        if binary_projection:
-            self.projection = matrix.astype(np.int8)
-        else:
-            self.projection = matrix.astype(np.float64)
+        # Adopted without a copy: a memory-mapped matrix stays shared.
+        dtype = np.int8 if binary_projection else np.float64
+        self.projection = matrix.astype(dtype, copy=False)
         return self
 
     @property
@@ -228,45 +227,61 @@ class RandomProjectionEncoder(Encoder):
 
     @projection.setter
     def projection(self, value: np.ndarray) -> None:
-        # Assignment drops the widening; in-place writes into the matrix
-        # are not tracked (assign a new matrix instead).
+        # Assignment drops the packer and the widening; in-place writes into
+        # the matrix are not tracked (assign a new matrix instead).
         self._projection = value
+        self._packer = None
         self._widened = None
 
     def widened_projection(self) -> np.ndarray:
-        """The projection as the operand of every encode GEMM.
+        """The projection as the operand of an encode GEMM.
 
         float32 for a sign-quantizing binary encoder, exact for ``±1``
         (``f * D * 4`` bytes, stored column-major); float64 otherwise
         (``f * D * 8`` bytes, none when the matrix already is float64).
         Built on first use and cached until :attr:`projection` is assigned;
-        never checkpointed.  The cache is keyed on the matrix it was widened
-        from, so a concurrent assignment can never leave a stale widening
-        behind.
+        never checkpointed.  A sign-quantizing binary encoder first uses it
+        when a block of rows takes the GEMM (see :func:`_exact_sign_block`),
+        so a process that only encodes small batches at a wide ``D`` never
+        builds it.
         """
-        return self._operands()[1]
+        return self._widen(self._projection)
 
-    def _operands(self) -> Tuple[np.ndarray, np.ndarray, Optional[_kernels.SignPacker]]:
-        """``(projection, widened, packer)``, built together and cached.
+    def _widen(self, projection: np.ndarray) -> np.ndarray:
+        """:meth:`widened_projection` of ``projection``.
 
-        ``packer`` certifies the exact-sign encode; None unless the encoder
-        sign-quantizes a binary projection.
+        The cache is keyed on the matrix it was widened from, so a
+        concurrent assignment can never leave a stale widening behind.
         """
-        projection = self._projection
         cached = self._widened
         if cached is None or cached[0] is not projection:
             if self.binary_projection and self.quantize_output:
+                widened = np.ascontiguousarray(projection.T, dtype=np.float32).T
+            else:
+                widened = projection.astype(np.float64, copy=False)
+            cached = (projection, widened)
+            self._widened = cached
+        return cached[1]
+
+    def _operands(self) -> Tuple[np.ndarray, Optional[_kernels.SignPacker]]:
+        """``(projection, packer)``, built together and cached like the widening.
+
+        ``packer`` holds the projection's bits (``D * ceil(f / 8)`` bytes)
+        and certifies the exact-sign encode; None unless the encoder
+        sign-quantizes a binary projection.
+        """
+        projection = self._projection
+        cached = self._packer
+        if cached is None or cached[0] is not projection:
+            packer = None
+            if self.binary_projection and self.quantize_output:
                 if not (np.abs(projection) == 1).all():
                     raise ValueError("a binary projection holds -1 and +1 entries only")
-                # Column-major, so the float64 tier reads a column contiguously.
-                widened = np.ascontiguousarray(projection.T, dtype=np.float32).T
                 packer = _kernels.SignPacker(
-                    widened.T, _bound_coefficients(self.num_features), _FAST_LIMIT
+                    projection.T, _bound_coefficients(self.num_features), _FAST_LIMIT
                 )
-            else:
-                widened, packer = projection.astype(np.float64, copy=False), None
-            cached = (projection, widened, packer)
-            self._widened = cached
+            cached = (projection, packer)
+            self._packer = cached
         return cached
 
     def _sign_words(self, features: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -281,11 +296,12 @@ class RandomProjectionEncoder(Encoder):
         if not self.quantize_output:
             raise ValueError("sign encoding requires quantize_output=True")
         arr, squeeze = self._validate(features)
-        _, widened, packer = self._operands()
+        projection, packer = self._operands()
         if packer is not None:
-            words = _exact_sign_words(arr, widened, packer)
+            words = _exact_sign_words(arr, projection, packer, self._widen)
         else:
-            words = pack_binary(arr @ widened >= 0, validate=False).words
+            sums = arr @ self._widen(projection)
+            words = pack_binary(sums >= 0, validate=False).words
         return words, squeeze
 
     def _sign_bits(self, features: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -493,6 +509,16 @@ _FAST_LIMIT = 2.0**100
 #: test split still runs as one GEMM.
 _ENCODE_BLOCK_ROWS = 8192
 
+#: Largest block, and smallest ``D``, whose float32 sums come from
+#: :meth:`~repro.hdc._packed_kernels.SignPacker.encode`'s table lookup
+#: instead of a GEMM (native backend).  Measured at f = 617 and 784 on
+#: 2 CPUs with OpenBLAS 0.3.31: at D = 8192 the lookup took ~0.3 ms a row
+#: against 0.6-1.1 ms for a one-row GEMV and 3.7-5.3 ms for a GEMM of 2
+#: to 8 rows; at D = 1024 it broke even at 1 and 8 rows; at D <= 256 the
+#: GEMM won at every row count.
+_TABLE_MAX_ROWS = 8
+_TABLE_MIN_DIMENSION = 1024
+
 
 def _gamma(terms: int, unit: float) -> float:
     """Higham's ``gamma_n = n*u / (1 - n*u)``; inf once ``n*u >= 1/2``."""
@@ -519,41 +545,50 @@ def _bound_coefficients(num_features: int) -> Tuple[float, float, float, float]:
 
 
 def _exact_sign_words(
-    features: np.ndarray, widened: np.ndarray, packer: _kernels.SignPacker
+    features: np.ndarray,
+    projection: np.ndarray,
+    packer: _kernels.SignPacker,
+    widen: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Packed exact signs of ``features @ M`` for a ``±1`` projection ``M``.
 
     Bit ``d`` of row ``r`` is ``[s >= 0]`` for the exact real sum
     ``s = sum_i M_id * x_ri``; a NaN sum (a NaN entry, or ``+inf`` and
     ``-inf`` terms together) gives bit 0.  The bits therefore depend on the
-    row alone: not on the batch it came in, the BLAS kernel or the machine.
+    row alone: not on the batch it came in, the sum path, the BLAS kernel
+    or the machine.  ``packer`` holds ``M`` as bits, and
+    ``widen(projection)`` returns the float32 ``M`` a GEMM multiplies by.
 
-    **Float32 tier.**  ``s_hat = y @ widened`` with ``y = float32(x)`` and
-    ``M`` in float32.  With ``u = 2^-24``, rounding gives
-    ``|y_i - x_i| <= u*|x_i| + 2^-126`` (the absolute term covers
-    underflow, gradual or flushed) and ``||y||_1 <= (1 + u)*||x||_1 +
-    f * 2^-126``.  The products ``M_id * y_i`` are exact, and a length-``f``
-    sum in any order is within ``gamma_f * ||y||_1`` of its exact value,
-    ``gamma_f = f*u / (1 - f*u)`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, sec. 3.1), plus at most ``2^-126`` per input or
-    partial sum a flush-to-zero BLAS drops, each grown by at most
-    ``1 + gamma_f``.  So::
+    **Float32 tier.**  ``s_hat`` is a float32 sum of the ``f`` terms
+    ``M_id * y_i``, ``y = float32(x)``, in one of two orders: the GEMM
+    ``y @ widen(projection)``, or :meth:`~repro.hdc._packed_kernels.SignPacker.encode`'s
+    table lookup, which sums per-group tables of signed partial sums (see
+    :func:`_exact_sign_block` for which runs).  With ``u = 2^-24``,
+    rounding gives ``|y_i - x_i| <= u*|x_i| + 2^-126`` (the absolute term
+    covers underflow, gradual or flushed) and ``||y||_1 <= (1 + u)*||x||_1
+    + f * 2^-126``.  The products ``M_id * y_i`` are exact, and a
+    length-``f`` sum in any order is within ``gamma_f * ||y||_1`` of its
+    exact value, ``gamma_f = f*u / (1 - f*u)`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 3.1), plus at most ``2^-126``
+    per input or partial sum a flush-to-zero BLAS drops, each grown by at
+    most ``1 + gamma_f``.  So::
 
         |s_hat - s| <= (gamma_f*(1 + u) + u) * ||x||_1 + 6f * 2^-126
                     <  beta = rel32 * ||x||_1 + f * 2^-122
 
-    and an entry with ``|s_hat| > beta`` has the sign of ``s_hat``.  The
-    float64 evaluation of ``beta`` is lifted by :func:`_bound_coefficients`'s
-    slack and rounded up to float32, so the comparison is exact.
+    and an entry with ``|s_hat| > beta`` has the sign of ``s_hat``, on
+    either sum path.  The float64 evaluation of ``beta`` is lifted by
+    :func:`_bound_coefficients`'s slack and rounded up to float32, so the
+    comparison is exact.
 
     **Float64 tier.**  An uncertified ("open") entry, about 0.1% of them,
-    is recomputed in float64 from its column of ``M``: the same argument
-    at ``u = 2^-53``, with exact float64 inputs, certifies it when its
+    is recomputed in float64 from its column's bits: the same argument at
+    ``u = 2^-53``, with exact float64 inputs, certifies it when its
     magnitude exceeds ``rel64 * ||x||_1 + f * 2^-1019``.  Both tiers run in
     one pass of :class:`~repro.hdc._packed_kernels.SignPacker`.  Rows with
     ``||x||_1 >= 2^100``, where a float32 partial sum could overflow, and
-    rows with a NaN or infinite entry skip both tiers; an all-zero row is
-    a tie throughout.
+    rows with a NaN or infinite entry skip both tiers (and are never cast
+    to float32 by the table lookup); an all-zero row is a tie throughout.
 
     **Exact tier** (:func:`_settle_open`) decides what is still open.
 
@@ -563,39 +598,70 @@ def _exact_sign_words(
     """
     rows = features.shape[0]
     if rows <= _ENCODE_BLOCK_ROWS:
-        return _exact_sign_block(features, widened, packer)
-    words = np.empty((rows, (widened.shape[1] + 63) // 64), dtype=np.uint64)
+        return _exact_sign_block(features, projection, packer, widen)
+    words = np.empty((rows, (projection.shape[1] + 63) // 64), dtype=np.uint64)
     for start in range(0, rows, _ENCODE_BLOCK_ROWS):
         stop = start + _ENCODE_BLOCK_ROWS
-        words[start:stop] = _exact_sign_block(features[start:stop], widened, packer)
+        words[start:stop] = _exact_sign_block(
+            features[start:stop], projection, packer, widen
+        )
     return words
 
 
+def _takes_table_lookup(rows: int, num_features: int, dimension: int) -> bool:
+    """Whether a block of ``rows`` sums by table lookup rather than a GEMM.
+
+    The table lookup costs about the same per row whatever the batch; the
+    GEMM streams the whole float32 widening once per call.  See
+    :data:`_TABLE_MAX_ROWS` and :data:`_TABLE_MIN_DIMENSION`.
+    """
+    return 0 < rows <= _TABLE_MAX_ROWS and dimension >= _TABLE_MIN_DIMENSION
+
+
 def _exact_sign_block(
-    features: np.ndarray, widened: np.ndarray, packer: _kernels.SignPacker
+    features: np.ndarray,
+    projection: np.ndarray,
+    packer: _kernels.SignPacker,
+    widen: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """:func:`_exact_sign_words` of one block of rows."""
-    # A finite entry beyond the float32 range casts to inf, and a row with
-    # a non-finite entry sums to NaN: such rows skip both float tiers.
-    with np.errstate(over="ignore", invalid="ignore"):
-        narrow = features.astype(np.float32)
-        sums = narrow @ widened
-    words, undecided, count = packer(features, sums)
+    """:func:`_exact_sign_words` of one block of rows.
+
+    On the native backend, a small block at a wide ``D`` takes the table
+    lookup (:func:`_takes_table_lookup`); any other block takes the GEMM,
+    and its first such block builds the widening.
+    """
+    if (
+        _takes_table_lookup(features.shape[0], *projection.shape)
+        and _kernels.backend_name() == "native"
+    ):
+        words, undecided, count = packer.encode(features)
+    else:
+        # Widened before the cast: a long-lived array allocated after a
+        # short-lived large one can pin the heap above it.
+        widened = widen(projection)
+        # A finite entry beyond the float32 range casts to inf, and a row
+        # with a non-finite entry sums to NaN: such rows skip both float
+        # tiers.
+        with np.errstate(over="ignore", invalid="ignore"):
+            narrow = features.astype(np.float32)
+            sums = narrow @ widened
+        words, undecided, count = packer(features, sums)
     if count:
-        _settle_open(features, widened.T, words, undecided)
+        _settle_open(features, projection, words, undecided)
     return words
 
 
 def _settle_open(
     features: np.ndarray,
-    columns: np.ndarray,
+    projection: np.ndarray,
     words: np.ndarray,
     undecided: np.ndarray,
 ) -> None:
     """Decide every open entry exactly and set its bit in ``words`` in place.
 
-    ``columns`` is ``M^T``, ``(D, f)``.  Open entries come from rows the
-    certified tiers skipped and from sums too close to 0 for float64.
+    ``projection`` is the ``(f, D)`` ``±1`` matrix ``M``.  Open entries
+    come from rows the certified tiers skipped and from sums too close to
+    0 for float64.
     """
     rows, cols = np.nonzero(
         np.unpackbits(undecided.view(np.uint8), axis=1, bitorder="little")
@@ -604,7 +670,7 @@ def _settle_open(
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     for start, stop in zip(starts, np.append(starts[1:], rows.shape[0])):
         bits[start:stop] = _settle_row(
-            features[rows[start]], columns[cols[start:stop]]
+            features[rows[start]], projection[:, cols[start:stop]].T
         )
     masks = (np.uint64(1) << (cols & 63).astype(np.uint64)) * bits
     np.bitwise_or.at(words, (rows, cols >> 6), masks)

@@ -11,7 +11,9 @@ subnormal and huge magnitudes, and non-finite entries.
 
 Because the bits are a function of the row alone, a row encodes -- and a
 model labels it -- the same in any batch, alone or micro-batched by a
-server.  The fused ``sign_pack`` kernel is held to its numpy twin.
+server.  The fused ``sign_pack`` kernel is held to its numpy twin, and
+the table-lookup sums of ``sign_encode``, which small batches at a wide
+``D`` take, to the GEMM path's packed words.
 """
 
 from __future__ import annotations
@@ -413,6 +415,162 @@ class TestRowBlocks:
 
 def _unpack(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+
+
+def _settled(features, projection, result):
+    """The words of one sum path's ``(words, open, count)``, settled."""
+    words, undecided, count = result
+    words = words.copy()
+    if count:
+        encoders._settle_open(features, projection, words, undecided)
+    return words
+
+
+def _assert_table_equals_gemm(encoder, features, expected=None):
+    """The table lookup's and the GEMM's words, each path settled, are
+    equal and are the exact bits (``expected``, by default
+    :func:`_exact_bits`); so are each path's certified bits before
+    settling."""
+    projection, packer = encoder._operands()
+    if expected is None:
+        with np.errstate(all="ignore"):
+            expected = _exact_bits(projection, features)
+    with np.errstate(all="ignore"):
+        sums = features.astype(np.float32) @ encoder.widened_projection()
+    table, gemm = packer.encode(features), packer(features, sums)
+    dimension = projection.shape[1]
+    for words, undecided, count in (table, gemm):
+        decided = _unpack(undecided)[:, :dimension] == 0
+        bits = _unpack(words)[:, :dimension]
+        np.testing.assert_array_equal(bits[decided], expected[decided])
+        assert count == int((~decided).sum())
+    table, gemm = (_settled(features, projection, path) for path in (table, gemm))
+    np.testing.assert_array_equal(table, gemm)
+    np.testing.assert_array_equal(_unpack(table)[:, :dimension], expected)
+
+
+class TestTableLookup:
+    """``SignPacker.encode`` sums from the projection's bits by table lookup;
+    its packed words must equal the GEMM path's bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def native_only(self):
+        if kernels.backend_name() != "native":
+            pytest.skip("the table lookup is a native kernel")
+
+    def rows(self, num_features, seed):
+        """Random, integer-valued (exact ties), cancelling, zero, subnormal,
+        limit-sized and non-finite rows."""
+        rng = np.random.default_rng(seed)
+        rows = [
+            rng.normal(size=(3, num_features)),
+            rng.integers(-2, 3, size=(3, num_features)).astype(np.float64),
+            np.zeros((1, num_features)),
+            rng.normal(size=(2, num_features)) * 2.0**-1070,
+            rng.normal(size=(1, num_features)) * _TINY,
+        ]
+        if num_features > 1:
+            rows.append(cancelling_rows(num_features, 3, seed=seed))
+        special = np.tile(rng.normal(size=num_features), (6, 1))
+        special[0, 0] = encoders._FAST_LIMIT  # ||x||_1 at the limit and past it
+        special[1, 0] = -2.0 * encoders._FAST_LIMIT
+        special[2, 0] = 1e300
+        special[3, -1] = np.nan
+        special[4, 0] = np.inf
+        special[5, -1] = -np.inf
+        rows.append(special)
+        return np.vstack(rows)
+
+    @pytest.mark.parametrize("num_features", [1, 7, 9, 100])
+    @pytest.mark.parametrize("dimension", [1, 70, 130])
+    def test_words_equal_the_gemm_path(self, num_features, dimension):
+        encoder = RandomProjectionEncoder(num_features, dimension, rng=dimension)
+        _assert_table_equals_gemm(encoder, self.rows(num_features, seed=num_features))
+
+    def test_words_equal_the_gemm_path_at_real_width(self):
+        encoder = RandomProjectionEncoder(784, 1000, rng=12)
+        rng = np.random.default_rng(12)
+        features = np.vstack([rng.random((8, 784)), cancelling_rows(784, 8, seed=12)])
+        projection = encoder.projection.astype(np.float64)
+        expected = np.array(
+            [[math.fsum(row * col) >= 0 for col in projection.T] for row in features]
+        )
+        _assert_table_equals_gemm(encoder, features, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(encoder_and_rows(elements=mixed) | encoder_and_cancelling_rows())
+    def test_matches_the_exact_reference(self, case):
+        _assert_table_equals_gemm(*case)
+
+    def test_nonfinite_and_huge_rows_are_left_open(self):
+        encoder = RandomProjectionEncoder(9, 70, rng=13)
+        features = np.ones((4, 9))
+        features[0, 3] = np.nan
+        features[1, 8] = -np.inf
+        features[2, 0] = encoders._FAST_LIMIT
+        packer = encoder._operands()[1]
+        _, undecided, count = packer.encode(features)
+        assert _unpack(undecided)[:3, :70].all()
+        assert not _unpack(undecided)[3].any()
+        assert count == 3 * 70
+        words, undecided, count = packer.encode(np.empty((0, 9)))
+        assert words.shape == undecided.shape == (0, 2) and count == 0
+
+    def test_row_bits_alone_equal_bits_in_a_gemm_batch(self, monkeypatch):
+        """At a routed shape, a row alone takes the table lookup and a batch
+        past the routing threshold takes the GEMM: same bits."""
+        num_features, dimension = 100, encoders._TABLE_MIN_DIMENSION + 3
+        encoder = RandomProjectionEncoder(num_features, dimension, rng=14)
+        rows = np.vstack(
+            [self.rows(num_features, seed=14), cancelling_rows(num_features, 8, 14)]
+        )
+        assert rows.shape[0] > encoders._TABLE_MAX_ROWS
+        lookups = []
+        encode = kernels.SignPacker.encode
+
+        def recording_encode(packer, features):
+            lookups.append(features.shape[0])
+            return encode(packer, features)
+
+        monkeypatch.setattr(kernels.SignPacker, "encode", recording_encode)
+        single = np.vstack(
+            [encoder.encode_packed(rows[i : i + 1]).words for i in range(len(rows))]
+        )
+        assert lookups == [1] * len(rows) and encoder._widened is None
+        batch = encoder.encode_packed(rows).words
+        assert lookups == [1] * len(rows) and encoder._widened is not None
+        np.testing.assert_array_equal(single, batch)
+
+    def test_routing_reads_rows_and_shape_only(self):
+        route = encoders._takes_table_lookup
+        wide = encoders._TABLE_MIN_DIMENSION
+        assert route(1, 784, wide) and route(encoders._TABLE_MAX_ROWS, 784, 8192)
+        assert not route(encoders._TABLE_MAX_ROWS + 1, 784, 8192)
+        assert not route(1, 784, wide - 1) and not route(1, 784, 128)
+        assert not route(0, 784, 8192)
+
+    def test_concurrent_calls_use_their_own_scratch(self):
+        encoder = RandomProjectionEncoder(100, 1030, rng=15)
+        rows = cancelling_rows(100, 32, seed=15)
+        expected = [encoder.encode_packed(rows[i : i + 1]).words for i in range(32)]
+        failures = []
+
+        def worker(offset):
+            try:
+                for _ in range(5):
+                    for i in range(offset, 32, 4):
+                        words = encoder.encode_packed(rows[i : i + 1]).words
+                        np.testing.assert_array_equal(words, expected[i])
+            except AssertionError as error:
+                failures.append(error)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
 
 
 class TestSignPackKernel:

@@ -2,9 +2,10 @@
 
 ``RandomProjectionEncoder.encode_packed`` packs the signs of ``M^T F``
 straight into ``uint64`` words.  For the binary projection they are the
-exact signs, certified from a float32 GEMM over the encoder's cached
-float32 widening (``tests/test_encode_exact.py`` holds them to exact
-arithmetic); for a Gaussian one they are the signs of the float64
+exact signs, certified from float32 sums -- a GEMM over the encoder's
+lazily built float32 widening, or a table lookup from the projection's
+bits for small batches (``tests/test_encode_exact.py`` holds them to
+exact arithmetic); for a Gaussian one they are the signs of the float64
 product.  It must equal ``pack_binary(to_binary(encode(x)))`` bit for
 bit on every input -- odd dimensions, single vectors, NaN/inf rows, exact
 zero projections, Gaussian and read-only projections -- as must its
@@ -13,6 +14,8 @@ packed/pruned engines, which it feeds, must keep answering exactly like
 the float engine.  The cache itself must never leak into checkpoints.
 """
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,6 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.config import MEMHDConfig
 from repro.core.model import MEMHDModel
+from repro.hdc import _packed_kernels as kernels
 from repro.hdc.encoders import RandomProjectionEncoder
 from repro.hdc.hypervector import to_binary
 from repro.hdc.packed import PackedVectors, pack_binary
@@ -233,15 +237,79 @@ class TestMEMHDEngines:
         with pytest.raises(ValueError, match="engine must be one of"):
             odd_memhd.class_scores(tiny_dataset.test_features, engine="quantum")
 
-    def test_prepare_engine_builds_the_widening(self, odd_memhd, tmp_path):
+    def test_prepare_engine_builds_the_packer_not_the_widening(
+        self, odd_memhd, tmp_path
+    ):
         save_checkpoint(odd_memhd, tmp_path / "m.npz")
         restored = load_mapped(tmp_path / "m.npz")
-        assert restored.encoder._widened is None
+        assert restored.encoder._packer is None
         restored.prepare_engine("packed")
-        widened = restored.encoder.widened_projection()
-        assert restored.encoder._widened is not None
+        packer = restored.encoder._operands()[1]
+        assert packer is not None and restored.encoder._widened is None
+        # At D = 100 every block takes the GEMM: the first builds the widening.
         restored.predict(np.zeros(odd_memhd.num_features), engine="packed")
-        assert restored.encoder.widened_projection() is widened
+        widened = restored.encoder._widened[1]
+        restored.predict(np.zeros((3, odd_memhd.num_features)), engine="packed")
+        assert restored.encoder._widened[1] is widened
+        assert restored.encoder._operands()[1] is packer
+
+    def test_mapped_projection_is_shared_not_copied(self, odd_memhd, tmp_path):
+        save_checkpoint(odd_memhd, tmp_path / "m.npz")
+        projection = load_mapped(tmp_path / "m.npz").encoder.projection
+        base = projection
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, mmap.mmap)  # the extracted file's mapping
+        assert not projection.flags.writeable
+
+    def test_from_projection_adopts_its_matrix(self, odd_memhd):
+        matrix = odd_memhd.encoder.projection
+        adopted = RandomProjectionEncoder.from_projection(matrix)
+        assert np.shares_memory(adopted.projection, matrix)
+
+
+class TestServingMemory:
+    """A server at a wide ``D`` encodes its small micro-batches by table
+    lookup, so it never pays the ``f * D * 4``-byte float32 widening."""
+
+    @pytest.fixture(scope="class")
+    def wide_checkpoint(self, tiny_dataset, tmp_path_factory):
+        config = MEMHDConfig(dimension=1100, columns=16, epochs=1, seed=8)
+        model = MEMHDModel(tiny_dataset.num_features, tiny_dataset.num_classes, config)
+        model.fit(tiny_dataset.train_features, tiny_dataset.train_labels)
+        path = tmp_path_factory.mktemp("wide") / "m.npz"
+        save_checkpoint(model, path)
+        return model, path
+
+    def test_small_batches_never_build_the_widening(
+        self, wide_checkpoint, tiny_dataset
+    ):
+        if kernels.backend_name() != "native":
+            pytest.skip("the numpy backend encodes every block by GEMM")
+        model, path = wide_checkpoint
+        restored = load_mapped(path)
+        restored.prepare_engine("packed")
+        features = tiny_dataset.test_features
+        for rows in (features[:1], features[1:4]):
+            np.testing.assert_array_equal(
+                restored.predict(rows, engine="packed"), model.predict(rows)
+            )
+        assert restored.encoder._widened is None
+        builds = []
+        widen = restored.encoder._widen
+
+        def counting_widen(projection):
+            if restored.encoder._widened is None:
+                builds.append(projection.shape)
+            return widen(projection)
+
+        restored.encoder._widen = counting_widen
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                restored.predict(features, engine="packed"), model.predict(features)
+            )
+        assert builds == [(tiny_dataset.num_features, 1100)]
+        assert restored.encoder._widened is not None
 
 
 class TestCheckpointsIgnoreTheCache:
